@@ -28,15 +28,12 @@ from .groups import (
     GroupElement,
     OrbitRecord,
     OrbitSplit,
-    act_axis,
-    act_permutation,
     all_axis_permutations,
     classify,
     large_orbit,
-    large_orbit_naive,
+    orbit_labels,
     orbit_split,
     small_orbit,
-    small_orbit_naive,
 )
 from .reporting import (
     PartitionRow,
@@ -79,8 +76,6 @@ __all__ = [
     "TABLE_KINDS",
     "UnsupportedShapeError",
     "VerifyReport",
-    "act_axis",
-    "act_permutation",
     "all_axis_permutations",
     "cache_filename",
     "classify",
@@ -90,10 +85,10 @@ __all__ = [
     "emit_table",
     "flatten",
     "large_orbit",
-    "large_orbit_naive",
     "load_table",
     "lower_bounds",
     "ones_count",
+    "orbit_labels",
     "orbit_split",
     "outer_product",
     "partition_by_ones",
@@ -102,7 +97,6 @@ __all__ = [
     "rank_one_codes",
     "render_mat",
     "small_orbit",
-    "small_orbit_naive",
     "stratify",
     "unflatten",
     "verify_all",

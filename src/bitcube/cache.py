@@ -12,18 +12,21 @@ Layout, all little-endian:
     checksum         u32 crc32 of every preceding byte
 
 The fixed byte order makes cache files portable; the checksum makes
-corruption detectable.
+corruption detectable.  Files are written to a temporary name and renamed
+into place, so a failed write never leaves a partial file behind.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .arrays import Shape
+from .arrays import Shape, rank_one_codes
 from .stratify import RankTable, Semiring
 
 FORMAT_VERSION = 1
@@ -44,7 +47,7 @@ def cache_filename(n: int, semiring: Semiring) -> str:
 
 
 def dump_table(table: RankTable, path: Path) -> None:
-    """Write a rank table to its binary cache layout."""
+    """Write a rank table to its binary cache layout, atomically."""
     parts = [
         _HEADER.pack(
             _MAGIC,
@@ -54,13 +57,20 @@ def dump_table(table: RankTable, path: Path) -> None:
             table.r_max,
         )
     ]
-    for stratum in table.strata:
-        parts.append(_U32.pack(len(stratum)))
-        parts.append(np.asarray(stratum, dtype="<u4").tobytes())
+    for r, count in enumerate(table.stratum_sizes):
+        parts.append(_U32.pack(count))
+        parts.append(np.flatnonzero(table.ranks == r).astype("<u4").tobytes())
     body = b"".join(parts)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(body + _U32.pack(zlib.crc32(body)))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(body + _U32.pack(zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: Path) -> RankTable:
@@ -93,9 +103,19 @@ def load_table(path: Path) -> RankTable:
         offset = end
         if count == 0 or (count > 1 and not (codes[1:] > codes[:-1]).all()):
             raise CacheError(f"{path}: stratum not a sorted nonempty set")
-        strata.append(tuple(int(c) for c in codes))
+        if codes[-1] >= shape.code_count:
+            raise CacheError(f"{path}: code {codes[-1]} out of range for n={n}")
+        strata.append(codes)
     if offset != len(body):
         raise CacheError(f"{path}: trailing bytes after last stratum")
-    if sum(len(s) for s in strata) != shape.code_count:
-        raise CacheError(f"{path}: strata do not cover the code space")
-    return RankTable(shape, _SEMIRING_OF[tag], tuple(strata))
+    if strata[0].tolist() != [0]:
+        raise CacheError(f"{path}: stratum 0 is not the zero array alone")
+    if r_max < 1 or tuple(strata[1].tolist()) != rank_one_codes(shape):
+        raise CacheError(f"{path}: stratum 1 is not the set of rank-1 arrays")
+    codes = np.concatenate(strata)
+    if not (np.bincount(codes, minlength=shape.code_count) == 1).all():
+        raise CacheError(f"{path}: strata do not partition the code space")
+    ranks = np.empty(shape.code_count, dtype=np.uint8)
+    ranks[codes] = np.repeat(np.arange(r_max + 1), [s.size for s in strata])
+    ranks.flags.writeable = False
+    return RankTable(shape, _SEMIRING_OF[tag], ranks)

@@ -72,8 +72,9 @@ def _config(args: argparse.Namespace) -> CliConfig:
 def load_or_compute(n: int, semiring: Semiring, cfg: CliConfig) -> RankTable:
     """Serve the stratification from cache when possible, else compute it.
 
-    A corrupted cache file is reported on stderr and silently recomputed;
-    the fresh result replaces the bad file.
+    A corrupted cache file, or one holding another (n, semiring) than the
+    one asked for, is reported on stderr and recomputed; the fresh result
+    replaces the bad file.
     """
     shape = Shape(n)
     if cfg.no_cache:
@@ -81,7 +82,13 @@ def load_or_compute(n: int, semiring: Semiring, cfg: CliConfig) -> RankTable:
     path = cfg.cache_dir / cache_filename(n, semiring)
     if path.exists() and not cfg.force_recompute:
         try:
-            return load_table(path)
+            table = load_table(path)
+            if (table.shape.n, table.semiring) == (n, semiring):
+                return table
+            raise CacheError(
+                f"{path}: holds n={table.shape.n} {table.semiring.value}, "
+                f"expected n={n} {semiring.value}"
+            )
         except CacheError as exc:
             print(f"warning: {exc}; recomputing", file=sys.stderr)
     table = stratify(shape, semiring)
@@ -93,7 +100,7 @@ def load_or_compute(n: int, semiring: Semiring, cfg: CliConfig) -> RankTable:
 
 
 def _semiring(args: argparse.Namespace) -> Semiring:
-    return Semiring.from_tag(args.semiring)
+    return Semiring(args.semiring)
 
 
 def _require_field_for_group(semiring: Semiring) -> None:

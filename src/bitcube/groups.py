@@ -6,12 +6,16 @@ direction permutations transpose subscripts.  The small symmetry group is
 the n-fold direct product of the matrix group; the large symmetry group
 extends it by all direction permutations.  Both actions preserve rank.
 
-Orbits are expanded by breadth-first closure under a small generator set
-(two matrices per direction, plus the adjacent transpositions for the
-large group); the classic full-product expansion over all group elements
-is kept as ``small_orbit_naive``/``large_orbit_naive`` and used as a
-cross-check oracle in the test suite.  Canonical form of an orbit is its
-numerically minimal code.
+Orbits are represented by one label array per (n, group): the label of a
+code is the numerically minimal member of its orbit, which is the orbit's
+canonical form.  The labels are computed for the whole code space at once
+by min-label propagation with pointer jumping, as in Shiloach and Vishkin's
+connected-components algorithm: starting from the identity, each code takes
+the smaller of its own label and the label of its image under each
+generator (two matrices per direction, plus the adjacent transpositions for
+the large group), then every label is replaced by its own label, until
+nothing changes.  Classification, orbits and splits are derived from the
+labels.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -42,19 +46,6 @@ class GroupElement:
             raise ValueError(f"entries must be 0 or 1, got {self.rows}")
         if (a & d) ^ (b & c) != 1:
             raise ValueError(f"matrix {self.rows} is singular mod 2")
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return GroupElement(
-            (((a & e) ^ (b & g), (a & f) ^ (b & h)),
-             ((c & e) ^ (d & g), (c & f) ^ (d & h)))
-        )
-
-    def apply_vec(self, v: tuple[int, int]) -> tuple[int, int]:
-        """Image of a column 2-vector under the matrix, mod 2."""
-        (a, b), (c, d) = self.rows
-        return ((a & v[0]) ^ (b & v[1]), (c & v[0]) ^ (d & v[1]))
 
 
 #: The six invertible matrices in lexicographic order of their entries.
@@ -120,33 +111,13 @@ class OrbitSplit:
 
 
 # ---------------------------------------------------------------------------
-# scalar actions
+# actions over the whole code space (n = 3, 4)
 # ---------------------------------------------------------------------------
 
 def _axis_mask(n: int, direction: int) -> int:
     # code bits whose cell has subscript 1 in the given direction
     pos = n - direction
     return sum(1 << b for b in range(1 << n) if (b >> pos) & 1)
-
-
-def _check_direction(shape: Shape, direction: int) -> None:
-    if not 1 <= direction <= shape.n:
-        raise ValueError(f"direction must be in 1..{shape.n}, got {direction}")
-
-
-def act_axis(g: GroupElement, a: ArrayCode, direction: int) -> ArrayCode:
-    """Basis change along one direction: each 2-vector of that direction is
-    left-multiplied by the matrix, mod 2."""
-    _check_direction(a.shape, direction)
-    n = a.shape.n
-    shift = 1 << (n - direction)
-    m1 = _axis_mask(n, direction)
-    hi = a.code & m1
-    lo = (a.code & (m1 >> shift)) << shift
-    (g11, g12), (g21, g22) = g.rows
-    new_hi = (hi if g11 else 0) ^ (lo if g12 else 0)
-    new_lo = (hi if g21 else 0) ^ (lo if g22 else 0)
-    return ArrayCode(new_hi | (new_lo >> shift), a.shape)
 
 
 def _perm_bit_sources(p: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -159,22 +130,6 @@ def _perm_bit_sources(p: tuple[int, ...], n: int) -> tuple[int, ...]:
         sources.append(s)
     return tuple(sources)
 
-
-def act_permutation(p: AxisPermutation, a: ArrayCode) -> ArrayCode:
-    """Transpose subscripts: the entry at (i_1, ..., i_n) moves from
-    position (i_p(1), ..., i_p(n))."""
-    n = a.shape.n
-    if p.n != n:
-        raise ValueError(f"permutation acts on {p.n} directions, code has {n}")
-    out = 0
-    for b, s in enumerate(_perm_bit_sources(p.perm, n)):
-        out |= ((a.code >> s) & 1) << b
-    return ArrayCode(out, a.shape)
-
-
-# ---------------------------------------------------------------------------
-# vectorized actions over the whole code space (n = 3, 4)
-# ---------------------------------------------------------------------------
 
 def _require_enumerable(shape: Shape) -> None:
     if shape.n not in (3, 4):
@@ -224,52 +179,46 @@ def _generator_tables(n: int, group: GroupKind) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _expand_orbit(code: int, tables: Iterable[np.ndarray], total: int) -> np.ndarray:
-    member = np.zeros(total, dtype=bool)
-    member[code] = True
-    frontier = np.array([code], dtype=np.uint32)
-    while frontier.size:
-        images = np.unique(np.concatenate([t[frontier] for t in tables]))
-        new = images[~member[images]]
-        member[new] = True
-        frontier = new
-    return np.nonzero(member)[0]
+@lru_cache(maxsize=None)
+def _orbit_labels(n: int, group: GroupKind) -> np.ndarray:
+    tables = _generator_tables(n, group)
+    labels = np.arange(1 << (1 << n), dtype=np.uint32)
+    while True:
+        before = labels
+        for t in tables:
+            labels = np.minimum(labels, labels[t])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    labels.flags.writeable = False
+    return labels
 
 
-def _orbit_codes(code: int, shape: Shape, group: GroupKind) -> np.ndarray:
-    return _expand_orbit(
-        code, _generator_tables(shape.n, group), shape.code_count
-    )
+def orbit_labels(shape: Shape, group: GroupKind) -> np.ndarray:
+    """Read-only array mapping every code to the minimal member of its orbit.
+
+    Every label is a member of the code's orbit and never exceeds the code,
+    and at the fixpoint labels are constant along every generator, hence on
+    whole orbits; the orbit minimum keeps its own code, so it is the label.
+    """
+    _require_enumerable(shape)
+    return _orbit_labels(shape.n, group)
+
+
+def _orbit(a: ArrayCode, group: GroupKind) -> tuple[ArrayCode, ...]:
+    labels = orbit_labels(a.shape, group)
+    codes = np.flatnonzero(labels == labels[a.code])
+    return tuple(ArrayCode(int(c), a.shape) for c in codes)
 
 
 def small_orbit(a: ArrayCode) -> tuple[ArrayCode, ...]:
     """All images of a code under the small group, sorted ascending."""
-    _require_enumerable(a.shape)
-    codes = _orbit_codes(a.code, a.shape, "small")
-    return tuple(ArrayCode(int(c), a.shape) for c in codes)
+    return _orbit(a, "small")
 
 
 def large_orbit(a: ArrayCode) -> tuple[ArrayCode, ...]:
     """All images of a code under the large group, sorted ascending."""
-    _require_enumerable(a.shape)
-    codes = _orbit_codes(a.code, a.shape, "large")
-    return tuple(ArrayCode(int(c), a.shape) for c in codes)
-
-
-def small_orbit_naive(a: ArrayCode) -> tuple[ArrayCode, ...]:
-    """Full product expansion over all 6**n matrix tuples, axis by axis."""
-    current = {a}
-    for direction in range(1, a.shape.n + 1):
-        current = {act_axis(g, x, direction) for g in GL2_F2 for x in current}
-    return tuple(sorted(current))
-
-
-def large_orbit_naive(a: ArrayCode) -> tuple[ArrayCode, ...]:
-    """Union of naive small orbits over all direction permutations."""
-    out: set[ArrayCode] = set()
-    for p in all_axis_permutations(a.shape.n):
-        out.update(small_orbit_naive(act_permutation(p, a)))
-    return tuple(sorted(out))
+    return _orbit(a, "large")
 
 
 # ---------------------------------------------------------------------------
@@ -284,44 +233,27 @@ def _require_field(table: RankTable) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _classify_with_labels(
-    table: RankTable, group: GroupKind
-) -> tuple[tuple[OrbitRecord, ...], np.ndarray]:
-    shape = table.shape
-    tables = _generator_tables(shape.n, group)
-    labels = np.full(shape.code_count, -1, dtype=np.int32)
-    records: list[OrbitRecord] = []
-    for rank, stratum in enumerate(table.strata):
-        for code in stratum:
-            if labels[code] >= 0:
-                continue
-            orbit = _expand_orbit(code, tables, shape.code_count)
-            labels[orbit] = len(records)
-            records.append(
-                OrbitRecord(
-                    canonical=ArrayCode(code, shape),
-                    rank=rank,
-                    size=int(orbit.size),
-                    ones=bin(code).count("1"),
-                    group=group,
-                )
-            )
-    labels.flags.writeable = False
-    return tuple(records), labels
+def _canonical_codes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # orbit minima (the codes that are their own label), ascending, and sizes
+    canon = np.flatnonzero(labels == np.arange(labels.size))
+    return canon, np.bincount(labels, minlength=labels.size)[canon]
 
 
 def classify(table: RankTable, group: GroupKind) -> tuple[OrbitRecord, ...]:
-    """Orbit records per rank, in discovery order.
+    """Orbit records sorted by (rank, canonical).
 
-    Within each rank the numerically minimal remaining code seeds the next
-    orbit, so records are sorted by (rank, canonical); each orbit's minimal
-    member is the seed itself.
+    The canonical form of an orbit is its numerically minimal member.
     """
     _require_field(table)
-    _require_enumerable(table.shape)
-    records, _ = _classify_with_labels(table, group)
-    return records
+    canon, sizes = _canonical_codes(orbit_labels(table.shape, group))
+    ranks = table.ranks[canon]
+    records = []
+    for i in np.lexsort((canon, ranks)):
+        canonical = ArrayCode(int(canon[i]), table.shape)
+        records.append(
+            OrbitRecord(canonical, int(ranks[i]), int(sizes[i]), canonical.ones(), group)
+        )
+    return tuple(records)
 
 
 def orbit_split(table: RankTable) -> tuple[OrbitSplit, ...]:
@@ -331,20 +263,20 @@ def orbit_split(table: RankTable) -> tuple[OrbitSplit, ...]:
     orbit lies inside exactly one large orbit, so the (count, size) pairs
     of an entry multiply and sum back to the large orbit's size.
     """
-    _require_field(table)
-    _require_enumerable(table.shape)
-    large_records, large_labels = _classify_with_labels(table, "large")
-    small_records, _ = _classify_with_labels(table, "small")
-    parts: dict[int, Counter] = {i: Counter() for i in range(len(large_records))}
-    for rec in small_records:
-        parts[int(large_labels[rec.canonical.code])][rec.size] += 1
+    large_records = classify(table, "large")
+    large_labels = orbit_labels(table.shape, "large")
+    small_canon, small_sizes = _canonical_codes(orbit_labels(table.shape, "small"))
+    parts: dict[int, Counter] = {rec.canonical.code: Counter() for rec in large_records}
+    for code, size in zip(small_canon.tolist(), small_sizes.tolist()):
+        parts[int(large_labels[code])][size] += 1
     return tuple(
         OrbitSplit(
             index=i + 1,
             rank=rec.rank,
             size=rec.size,
             parts=tuple(
-                (count, size) for size, count in sorted(parts[i].items())
+                (count, size)
+                for size, count in sorted(parts[rec.canonical.code].items())
             ),
         )
         for i, rec in enumerate(large_records)

@@ -15,15 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from . import expected
 from .arrays import ArrayCode, Shape, render_mat
-from .groups import (
-    OrbitRecord,
-    OrbitSplit,
-    _classify_with_labels,
-    classify,
-    orbit_split,
-)
+from .groups import OrbitRecord, OrbitSplit, classify, orbit_labels, orbit_split
 from .stratify import RankTable, Semiring, rank_distribution, stratify
 
 Cell = Union[int, str]
@@ -56,25 +52,20 @@ class PartitionRow:
 def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
     """Partition each stratum by the number of entries equal to 1.
 
-    Rows are sorted by (rank, ones); empty classes are omitted.  Strata are
-    stored ascending, so the first code seen in a class is its minimum.
+    Rows are sorted by (rank, ones); empty classes are omitted.  Each class
+    is keyed by rank * (2**n + 1) + ones, and its representative is the
+    first code of the class in a stable sort by key, i.e. its minimum.
     """
-    rows = []
-    for rank, stratum in enumerate(table.strata):
-        classes: dict[int, list[int]] = {}
-        for code in stratum:
-            ones = bin(code).count("1")
-            entry = classes.get(ones)
-            if entry is None:
-                classes[ones] = [1, code]
-            else:
-                entry[0] += 1
-        for ones in sorted(classes):
-            count, rep = classes[ones]
-            rows.append(
-                PartitionRow(rank, ones, count, ArrayCode(rep, table.shape))
-            )
-    return tuple(rows)
+    width = table.shape.m + 1
+    codes = np.arange(table.shape.code_count, dtype=np.uint32)
+    keys = table.ranks.astype(np.intp) * width + np.bitwise_count(codes)
+    counts = np.bincount(keys)
+    first = np.argsort(keys, kind="stable")[np.cumsum(counts) - counts]
+    return tuple(
+        PartitionRow(key // width, key % width, int(counts[key]),
+                     ArrayCode(int(first[key]), table.shape))
+        for key in np.flatnonzero(counts).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +178,13 @@ def split_table(splits: Sequence[OrbitSplit], n: int) -> Table:
 def rank2_small_split(flat: bool = False) -> Table:
     """The three small orbits inside the rank-2 size-54 large orbit (n=3)."""
     table = stratify(Shape(3), Semiring.GF2)
-    large_records, large_labels = _classify_with_labels(table, "large")
-    big = next(rec for rec in large_records if rec.rank == 2 and rec.size == 54)
-    target = large_labels[big.canonical.code]
-    small_records, _ = _classify_with_labels(table, "small")
+    big = next(
+        rec for rec in classify(table, "large") if rec.rank == 2 and rec.size == 54
+    )
+    large_labels = orbit_labels(table.shape, "large")
     members = [
-        rec for rec in small_records
-        if large_labels[rec.canonical.code] == target
+        rec for rec in classify(table, "small")
+        if large_labels[rec.canonical.code] == big.canonical.code
     ]
     return Table(
         "small-split-3",
@@ -216,7 +207,7 @@ def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
         try:
             _, n_text, tag = kind.split("-")
             n = int(n_text)
-            semiring = Semiring.from_tag(tag)
+            semiring = Semiring(tag)
         except ValueError:
             raise ValueError(f"unknown table kind {kind!r}") from None
         if n not in (3, 4):
@@ -399,8 +390,9 @@ def verify_all(
             checks.append(
                 _compare(
                     "boolean and integer strata identical n=3",
-                    tables[Semiring.BOOLEAN].strata
-                    == tables[Semiring.NONNEG].strata,
+                    np.array_equal(
+                        tables[Semiring.BOOLEAN].ranks, tables[Semiring.NONNEG].ranks
+                    ),
                     data.boolean_equals_nonneg_at_3,
                 )
             )
@@ -444,9 +436,7 @@ def verify_all(
                     f"partition rows n={key[0]} {key[1]}",
                     tuple(
                         (row.rank, row.ones, row.count, row.representative.text())
-                        for row in partition_by_ones(
-                            tables[Semiring.from_tag(key[1])]
-                        )
+                        for row in partition_by_ones(tables[Semiring(key[1])])
                     ),
                     data.partitions[key],
                 )

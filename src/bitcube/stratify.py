@@ -6,13 +6,12 @@ with two elements, inclusive-or for the Boolean case, and inclusive-or
 restricted to disjoint supports for the non-negative integer case (a pair
 of terms sharing a 1 simply contributes no candidate).
 
-The stratification is computed level by level: the arrays of rank r + 1 are
-the sums x + y with x of exact rank r and y of rank 1, minus everything
-already assigned a rank at most r + 1.  Membership is tracked with a flat
-presence table of one flag per code, so the inner-loop test is O(1); level
-expansion is vectorized over (x, y) pairs and candidates are deduplicated
-before the presence test, which keeps the result independent of the pair
-order.
+A stratification is one dense array holding the rank of every code.  It is
+computed level by level: the arrays of rank r + 1 are the sums x + y with x
+of exact rank r and y of rank 1, minus everything already ranked.  Each
+level's sums are vectorized over (x, y) pairs and scattered into a bitmap
+with one flag per code; the new level is the set of flagged codes that are
+still unranked, which comes out sorted and independent of the pair order.
 """
 
 from __future__ import annotations
@@ -35,13 +34,6 @@ class Semiring(enum.Enum):
     BOOLEAN = "bool"
     NONNEG = "nat"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "Semiring":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValueError(f"unknown semiring tag {tag!r}")
-
 
 def combine(x: ArrayCode, y: ArrayCode, semiring: Semiring) -> Optional[ArrayCode]:
     """Sum of two codes under the semiring, or None when the pair is rejected.
@@ -62,32 +54,42 @@ def combine(x: ArrayCode, y: ArrayCode, semiring: Semiring) -> Optional[ArrayCod
     return ArrayCode(x.code | y.code, x.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankTable:
-    """Partition of the full code space into exact-rank strata.
+    """Exact rank of every code of one shape under one semiring.
 
-    Stratum r holds the sorted codes of exact rank r; stratum 0 is the zero
-    array alone and the last stratum is nonempty.
+    ranks is a read-only uint8 array indexed by code.  Stratum r is the
+    ascending tuple of codes of exact rank r; stratum 0 is the zero array
+    alone and the last stratum is nonempty.
     """
 
     shape: Shape
     semiring: Semiring
-    strata: tuple[tuple[int, ...], ...]
+    ranks: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankTable):
+            return NotImplemented
+        same_key = (self.shape, self.semiring) == (other.shape, other.semiring)
+        return same_key and np.array_equal(self.ranks, other.ranks)
+
+    @cached_property
+    def stratum_sizes(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.ranks).tolist())
 
     @property
     def r_max(self) -> int:
-        return len(self.strata) - 1
-
-    @property
-    def stratum_sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strata)
+        return len(self.stratum_sizes) - 1
 
     @cached_property
-    def _rank_by_code(self) -> dict[int, int]:
-        return {code: r for r, stratum in enumerate(self.strata) for code in stratum}
+    def strata(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(np.flatnonzero(self.ranks == r).tolist())
+            for r in range(self.r_max + 1)
+        )
 
     def rank_of_code(self, code: int) -> int:
-        return self._rank_by_code[code]
+        return int(self.ranks[code])
 
 
 def rank_of(a: ArrayCode, table: RankTable) -> int:
@@ -101,33 +103,29 @@ def rank_of(a: ArrayCode, table: RankTable) -> int:
 
 def _expand_level(cur: np.ndarray, r1: np.ndarray, semiring: Semiring) -> np.ndarray:
     if semiring is Semiring.GF2:
-        cand = np.bitwise_xor.outer(cur, r1).ravel()
-    elif semiring is Semiring.BOOLEAN:
-        cand = np.bitwise_or.outer(cur, r1).ravel()
-    else:
-        keep = np.bitwise_and.outer(cur, r1).ravel() == 0
-        cand = np.bitwise_or.outer(cur, r1).ravel()[keep]
-    return np.unique(cand)
+        return np.bitwise_xor.outer(cur, r1).ravel()
+    if semiring is Semiring.BOOLEAN:
+        return np.bitwise_or.outer(cur, r1).ravel()
+    keep = np.bitwise_and.outer(cur, r1).ravel() == 0
+    return np.bitwise_or.outer(cur, r1).ravel()[keep]
 
 
 @lru_cache(maxsize=None)
 def _stratify(n: int, semiring: Semiring) -> RankTable:
     shape = Shape(n)
-    seen = np.zeros(shape.code_count, dtype=bool)
-    seen[0] = True
+    ranks = np.full(shape.code_count, 255, dtype=np.uint8)  # 255: not ranked yet
+    ranks[0] = 0
+    hit = np.zeros(shape.code_count, dtype=bool)
     r1 = np.array(rank_one_codes(shape), dtype=np.uint32)
-    seen[r1] = True
-    strata = [(0,), tuple(int(c) for c in r1)]
-    cur = r1
+    cur, r = r1, 1
     while cur.size:
-        cand = _expand_level(cur, r1, semiring)
-        new = cand[~seen[cand]]
-        if new.size == 0:
-            break
-        seen[new] = True
-        strata.append(tuple(int(c) for c in new))
-        cur = new
-    return RankTable(shape, semiring, tuple(strata))
+        ranks[cur] = r
+        hit[:] = False
+        hit[_expand_level(cur, r1, semiring)] = True
+        cur = np.flatnonzero(hit & (ranks == 255)).astype(np.uint32)
+        r += 1
+    ranks.flags.writeable = False
+    return RankTable(shape, semiring, ranks)
 
 
 def stratify(shape: Shape, semiring: Semiring) -> RankTable:
@@ -175,9 +173,9 @@ def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
     return tuple(
         RankShare(
             rank=r,
-            count=len(stratum),
-            percent=percent_text(len(stratum), total, decimals),
-            percent_exact=Fraction(100 * len(stratum), total),
+            count=count,
+            percent=percent_text(count, total, decimals),
+            percent_exact=Fraction(100 * count, total),
         )
-        for r, stratum in enumerate(table.strata)
+        for r, count in enumerate(table.stratum_sizes)
     )

@@ -18,7 +18,10 @@ SAMPLE_SEED = 20260808
 
 
 def popcount_array(limit):
-    """Set-bit counts of 0..limit-1 (np.bitwise_count needs numpy >= 2)."""
+    """Set-bit counts of 0..limit-1, counted in pure Python.
+
+    An oracle for the engine, which counts bits with np.bitwise_count.
+    """
     import numpy as np
 
     return np.array([bin(c).count("1") for c in range(limit)], dtype=np.int64)

@@ -1,7 +1,22 @@
+import struct
+import zlib
+
 import pytest
 
 from bitcube import CacheError, cache_filename, dump_table, load_table
 from bitcube.cache import FORMAT_VERSION
+
+
+def write_strata(path, n, tag, strata):
+    """A well-formed cache file (valid header and checksum) for any strata."""
+    body = struct.pack("<6sHBBB3x", b"BCRKTB", FORMAT_VERSION, n, tag, len(strata) - 1)
+    for stratum in strata:
+        body += struct.pack(f"<I{len(stratum)}I", len(stratum), *stratum)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def gf2_n3_strata(tables):
+    return [list(s) for s in tables[(3, "gf2")].strata]
 
 
 def test_round_trip_every_table(tables, tmp_path):
@@ -58,3 +73,61 @@ def test_version_mismatch_rejected(tables, tmp_path):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(CacheError, match="format"):
         load_table(path)
+
+
+def test_code_out_of_range_rejected(tables, tmp_path):
+    strata = gf2_n3_strata(tables)
+    strata[-1][-1] = 256
+    path = tmp_path / "t.bin"
+    write_strata(path, 3, 0, strata)
+    with pytest.raises(CacheError, match="out of range"):
+        load_table(path)
+
+
+def test_code_in_two_strata_rejected(tables, tmp_path):
+    # the total count still matches the code space
+    strata = gf2_n3_strata(tables)
+    moved = strata[2][0]
+    strata[3] = sorted(strata[3][1:] + [moved])
+    path = tmp_path / "t.bin"
+    write_strata(path, 3, 0, strata)
+    with pytest.raises(CacheError, match="partition"):
+        load_table(path)
+
+
+def test_wrong_stratum_zero_rejected(tables, tmp_path):
+    strata = gf2_n3_strata(tables)
+    strata[0], strata[3][0] = [strata[3][0]], 0
+    strata[3].sort()
+    path = tmp_path / "t.bin"
+    write_strata(path, 3, 0, strata)
+    with pytest.raises(CacheError, match="stratum 0"):
+        load_table(path)
+
+
+def test_wrong_stratum_one_rejected(tables, tmp_path):
+    strata = gf2_n3_strata(tables)
+    strata[1][0], strata[2][0] = strata[2][0], strata[1][0]
+    strata[1].sort()
+    strata[2].sort()
+    path = tmp_path / "t.bin"
+    write_strata(path, 3, 0, strata)
+    with pytest.raises(CacheError, match="stratum 1"):
+        load_table(path)
+
+
+def test_failed_write_leaves_no_partial_file(tables, tmp_path, monkeypatch):
+    import bitcube.cache
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    old = tmp_path / cache_filename(3, tables[(3, "gf2")].semiring)
+    dump_table(tables[(3, "gf2")], old)
+    monkeypatch.setattr(bitcube.cache.os, "replace", fail)
+    new = tmp_path / cache_filename(4, tables[(4, "gf2")].semiring)
+    for path in (old, new):
+        with pytest.raises(OSError, match="disk full"):
+            dump_table(tables[(4, "gf2")], path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [old.name]
+    assert load_table(old) == tables[(3, "gf2")]

@@ -53,6 +53,21 @@ def test_corrupted_cache_recomputed_with_warning(cache_env, capsys):
     assert "warning" in err and "recomputing" in err
 
 
+def test_cache_file_for_another_key_recomputed(cache_env, capsys):
+    # a Boolean table copied over the GF(2) file must not answer GF(2) queries
+    from bitcube import Semiring, load_table
+
+    run_cli(capsys, "enumerate", "--n", "4", "--semiring", "bool")
+    gf2_path = cache_env / cache_filename(4, Semiring.GF2)
+    gf2_path.write_bytes((cache_env / cache_filename(4, Semiring.BOOLEAN)).read_bytes())
+    code, out, err = run_cli(
+        capsys, "rank", "--n", "4", "--semiring", "gf2", "0110101110111101"
+    )
+    assert (code, out) == (0, "6\n")
+    assert "expected n=4 gf2" in err and "recomputing" in err
+    assert load_table(gf2_path).semiring is Semiring.GF2
+
+
 def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BITCUBE_CACHE_DIR", str(tmp_path / "c"))
     code, _, _ = run_cli(

@@ -13,19 +13,26 @@ from bitcube import (
     AxisPermutation,
     GroupElement,
     Shape,
-    act_axis,
-    act_permutation,
+    UnsupportedShapeError,
     all_axis_permutations,
     classify,
     large_orbit,
-    large_orbit_naive,
+    orbit_labels,
     orbit_split,
     small_orbit,
-    small_orbit_naive,
 )
 from bitcube.groups import axis_action_table, permutation_action_table
 
 from conftest import SAMPLE_SEED
+from orbit_oracle import (
+    OrbitMinima,
+    act_axis,
+    act_permutation,
+    apply_vec,
+    large_orbit_naive,
+    matmul,
+    small_orbit_naive,
+)
 
 S3 = Shape(3)
 S4 = Shape(4)
@@ -58,13 +65,13 @@ def test_singular_matrix_rejected():
 def test_group_closed_under_multiplication():
     members = set(GL2_F2)
     for g, h in itertools.product(GL2_F2, repeat=2):
-        assert g @ h in members
+        assert matmul(g, h) in members
 
 
 def test_group_acts_as_all_permutations_of_nonzero_vectors():
     nonzero = ((0, 1), (1, 0), (1, 1))
     images = {
-        tuple(g.apply_vec(v) for v in nonzero) for g in GL2_F2
+        tuple(apply_vec(g, v) for v in nonzero) for g in GL2_F2
     }
     assert len(images) == 6  # faithful, and 6 = 3! means every permutation
 
@@ -76,7 +83,7 @@ def test_generators_generate_whole_group():
         new = []
         for g in frontier:
             for h in GL2_GENERATORS:
-                img = h @ g
+                img = matmul(h, g)
                 if img not in generated:
                     generated.add(img)
                     new.append(img)
@@ -217,6 +224,30 @@ def test_breadth_first_closure_equals_full_expansion_n4():
         assert large_orbit(a) == large_orbit_naive(a)
 
 
+def test_labels_equal_oracle_orbit_minima_exhaustive_n3():
+    oracle = OrbitMinima(3)
+    small, large = orbit_labels(S3, "small"), orbit_labels(S3, "large")
+    for code in range(256):
+        assert int(small[code]) == oracle.small(code)
+        assert int(large[code]) == oracle.large(code)
+
+
+def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
+    oracle = OrbitMinima(4)
+    small, large = orbit_labels(S4, "small"), orbit_labels(S4, "large")
+    for code in sample_codes_4:
+        assert int(small[code]) == oracle.small(code)
+        assert int(large[code]) == oracle.large(code)
+
+
+def test_orbit_labels_read_only_and_dimension_checked():
+    labels = orbit_labels(S4, "large")
+    with pytest.raises(ValueError):
+        labels[0] = 1
+    with pytest.raises(UnsupportedShapeError):
+        orbit_labels(Shape(5), "small")
+
+
 def test_orbits_closed_under_generators():
     rng = random.Random(SAMPLE_SEED + 2)
     for code in rng.sample(range(65536), 10):
@@ -295,14 +326,14 @@ def test_canonical_fields_consistent(tables):
 
 
 def test_canonical_is_minimal_orbit_member(tables):
-    from bitcube.groups import _classify_with_labels
-
     for n in (3, 4):
         for group in ("small", "large"):
-            records, labels = _classify_with_labels(tables[(n, "gf2")], group)
+            records = classify(tables[(n, "gf2")], group)
+            labels = orbit_labels(Shape(n), group)
+            index = {rec.canonical.code: i for i, rec in enumerate(records)}
             first_seen = {}
             for code, label in enumerate(labels.tolist()):
-                first_seen.setdefault(label, code)
+                first_seen.setdefault(index[label], code)
             for i, rec in enumerate(records):
                 assert first_seen[i] == rec.canonical.code
 

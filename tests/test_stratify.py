@@ -60,11 +60,11 @@ def test_stratify_rejects_large_dimensions():
 
 
 def test_semiring_tags():
-    assert Semiring.from_tag("gf2") is Semiring.GF2
-    assert Semiring.from_tag("bool") is Semiring.BOOLEAN
-    assert Semiring.from_tag("nat") is Semiring.NONNEG
+    assert Semiring("gf2") is Semiring.GF2
+    assert Semiring("bool") is Semiring.BOOLEAN
+    assert Semiring("nat") is Semiring.NONNEG
     with pytest.raises(ValueError):
-        Semiring.from_tag("real")
+        Semiring("real")
 
 
 # Stratum sizes are asserted against the reference dataset in
