@@ -14,7 +14,6 @@ from .arrays import (
     ShapeMismatchError,
     UnsupportedShapeError,
     flatten,
-    ones_count,
     outer_product,
     rank_one_codes,
     render_mat,
@@ -87,7 +86,6 @@ __all__ = [
     "large_orbit",
     "load_table",
     "lower_bounds",
-    "ones_count",
     "orbit_labels",
     "orbit_split",
     "outer_product",

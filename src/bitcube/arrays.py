@@ -202,11 +202,6 @@ def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     return tuple(sorted(codes))
 
 
-def ones_count(a: ArrayCode) -> int:
-    """Number of entries equal to 1."""
-    return a.ones()
-
-
 def render_mat(a: ArrayCode) -> str:
     """2 x 4 block display of a 3-dimensional array.
 

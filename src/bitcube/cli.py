@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .arrays import ArrayCode, Shape
 from .cache import FORMAT_VERSION, CacheError, cache_filename, dump_table, load_table
-from .groups import classify, large_orbit, orbit_split, small_orbit
+from .groups import classify, orbit_labels, orbit_split
 from .reporting import (
     TABLE_KINDS,
     bounds_table,
@@ -129,9 +129,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     table = load_or_compute(args.n, semiring, _config(args))
     print(rank_of(code, table))
     if args.group is not None:
-        orbit = small_orbit(code) if args.group == "small" else large_orbit(code)
-        print(f"canonical: {orbit[0].text()}")
-        print(f"orbit-size: {len(orbit)}")
+        labels = orbit_labels(shape, args.group)
+        label = labels[code.code]
+        print(f"canonical: {ArrayCode(int(label), shape).text()}")
+        print(f"orbit-size: {(labels == label).sum()}")
     return 0
 
 

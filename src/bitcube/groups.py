@@ -16,6 +16,9 @@ generator (two matrices per direction, plus the adjacent transpositions for
 the large group), then every label is replaced by its own label, until
 nothing changes.  Classification, orbits and splits are derived from the
 labels.
+
+A private third set, "cube" (the slice swap ((0, 1), (1, 0)) per direction
+plus the transpositions), generates the n-cube's symmetry group for stratify.
 """
 
 from __future__ import annotations
@@ -166,12 +169,10 @@ def permutation_action_table(p: AxisPermutation, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _generator_tables(n: int, group: GroupKind) -> tuple[np.ndarray, ...]:
-    tables = []
-    for direction in range(1, n + 1):
-        for g in GL2_GENERATORS:
-            tables.append(axis_action_table(g, direction, n))
-    if group == "large":
+def _generator_tables(n: int, group: str) -> tuple[np.ndarray, ...]:
+    matrices = GL2_F2[:1] if group == "cube" else GL2_GENERATORS  # [0]: slice swap
+    tables = [axis_action_table(g, d, n) for d in range(1, n + 1) for g in matrices]
+    if group != "small":
         for j in range(1, n):
             perm = list(range(1, n + 1))
             perm[j - 1], perm[j] = perm[j], perm[j - 1]
@@ -180,7 +181,7 @@ def _generator_tables(n: int, group: GroupKind) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_labels(n: int, group: GroupKind) -> np.ndarray:
+def _orbit_labels(n: int, group: str) -> np.ndarray:
     tables = _generator_tables(n, group)
     labels = np.arange(1 << (1 << n), dtype=np.uint32)
     while True:
@@ -201,6 +202,8 @@ def orbit_labels(shape: Shape, group: GroupKind) -> np.ndarray:
     and at the fixpoint labels are constant along every generator, hence on
     whole orbits; the orbit minimum keeps its own code, so it is the label.
     """
+    if group not in ("small", "large"):
+        raise ValueError(f"group must be 'small' or 'large', got {group!r}")
     _require_enumerable(shape)
     return _orbit_labels(shape.n, group)
 

@@ -8,10 +8,16 @@ of terms sharing a 1 simply contributes no candidate).
 
 A stratification is one dense array holding the rank of every code.  It is
 computed level by level: the arrays of rank r + 1 are the sums x + y with x
-of exact rank r and y of rank 1, minus everything already ranked.  Each
-level's sums are vectorized over (x, y) pairs and scattered into a bitmap
-with one flag per code; the new level is the set of flagged codes that are
-still unranked, which comes out sorted and independent of the pair order.
+of exact rank r and y of rank 1, minus everything already ranked.
+
+Only the minimum of each orbit of the n-cube's symmetry group (order
+2**n * n!, generated by slice swaps and transpositions of directions) is
+expanded.  The group permutes cells, so it maps rank-1 arrays to rank-1
+arrays and commutes with xor, or and the disjointness test: every level is
+a union of orbits, and g(x) + y = g(x + g⁻¹(y)).  Each level's sums are
+mapped to their orbit minima and scattered into a bitmap with one flag per
+code; the new level is the flagged minima still unranked.  GF(2) rank has a
+larger symmetry group, but this one serves all three semirings alike.
 """
 
 from __future__ import annotations
@@ -112,20 +118,24 @@ def _expand_level(cur: np.ndarray, r1: np.ndarray, semiring: Semiring) -> np.nda
 
 @lru_cache(maxsize=None)
 def _stratify(n: int, semiring: Semiring) -> RankTable:
-    shape = Shape(n)
-    ranks = np.full(shape.code_count, 255, dtype=np.uint8)  # 255: not ranked yet
-    ranks[0] = 0
-    hit = np.zeros(shape.code_count, dtype=bool)
-    r1 = np.array(rank_one_codes(shape), dtype=np.uint32)
-    cur, r = r1, 1
+    from .groups import _orbit_labels  # deferred: groups imports this module
+
+    labels = _orbit_labels(n, "cube")
+    rep_rank = np.full(labels.size, 255, dtype=np.uint8)  # 255: not ranked yet
+    rep_rank[0] = 0
+    hit = np.zeros(labels.size, dtype=bool)
+    r1 = np.array(rank_one_codes(Shape(n)), dtype=np.uint32)
+    hit[labels[r1]] = True
+    cur, r = np.flatnonzero(hit).astype(np.uint32), 1
     while cur.size:
-        ranks[cur] = r
+        rep_rank[cur] = r
         hit[:] = False
-        hit[_expand_level(cur, r1, semiring)] = True
-        cur = np.flatnonzero(hit & (ranks == 255)).astype(np.uint32)
+        hit[labels[_expand_level(cur, r1, semiring)]] = True
+        cur = np.flatnonzero(hit & (rep_rank == 255)).astype(np.uint32)
         r += 1
+    ranks = rep_rank[labels]
     ranks.flags.writeable = False
-    return RankTable(shape, semiring, ranks)
+    return RankTable(Shape(n), semiring, ranks)
 
 
 def stratify(shape: Shape, semiring: Semiring) -> RankTable:

@@ -1,10 +1,13 @@
-"""Independent rank search used as an oracle against the stratification.
+"""Rank oracles used against the stratification.
 
-The minimal number of rank-1 terms summing to a target is found by bounded
-depth-first search with iterative deepening over the 3**n rank-1 codes,
-applying each semiring's addition and rejection rule directly.  Nothing is
-shared with the level-closure implementation except the outer-product
-primitive itself.
+closure_ranks is the unreduced level-by-level closure: every code of rank r
+is summed with every rank-1 code, with no use of symmetry.  It is the
+reference for the engine, which expands only one code per cube orbit.
+
+RankSearch finds the minimal number of rank-1 terms summing to a target by
+bounded depth-first search with iterative deepening over the 3**n rank-1
+codes, applying each semiring's addition and rejection rule directly.
+Neither shares code with the engine except the outer-product primitive.
 
 Branching is complete in every case: some term of any sum must cover the
 lowest set bit of the running residual (exclusive-or of an all-zero column
@@ -15,6 +18,8 @@ a decomposition, which prunes the candidate lists further.
 """
 
 import itertools
+
+import numpy as np
 
 from bitcube import NONZERO_VECS, Shape, outer_product
 
@@ -27,6 +32,31 @@ def rank_one_set(n):
             for factors in itertools.product(NONZERO_VECS, repeat=n)
         }
     )
+
+
+def closure_ranks(n, semiring_tag):
+    """Rank of every code: level r + 1 is every sum of a rank-r code and a
+    rank-1 code that has no rank yet (255 marks "no rank yet")."""
+    r1 = np.array(rank_one_set(n), dtype=np.uint32)
+    ranks = np.full(1 << (1 << n), 255, dtype=np.uint8)
+    ranks[0] = 0
+    cur, r = r1, 1
+    while cur.size:
+        ranks[cur] = r
+        if semiring_tag == "gf2":
+            sums = np.bitwise_xor.outer(cur, r1)
+        elif semiring_tag == "bool":
+            sums = np.bitwise_or.outer(cur, r1)
+        elif semiring_tag == "nat":
+            disjoint = np.bitwise_and.outer(cur, r1) == 0
+            sums = np.bitwise_or.outer(cur, r1)[disjoint]
+        else:
+            raise ValueError(semiring_tag)
+        hit = np.zeros(ranks.size, dtype=bool)
+        hit[sums.ravel()] = True
+        cur = np.flatnonzero(hit & (ranks == 255)).astype(np.uint32)
+        r += 1
+    return ranks
 
 
 class RankSearch:

@@ -10,7 +10,6 @@ from bitcube import (
     ShapeMismatchError,
     UnsupportedShapeError,
     flatten,
-    ones_count,
     outer_product,
     rank_one_codes,
     render_mat,
@@ -145,9 +144,9 @@ def test_all_outer_products_distinct_n3():
 
 
 def test_ones_count():
-    assert ones_count(ArrayCode(0, S3)) == 0
-    assert ones_count(ArrayCode(255, S3)) == 8
-    assert ones_count(ArrayCode(0b01101001, S3)) == 4
+    assert ArrayCode(0, S3).ones() == 0
+    assert ArrayCode(255, S3).ones() == 8
+    assert ArrayCode(0b01101001, S3).ones() == 4
 
 
 def test_render_mat_zero():

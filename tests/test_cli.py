@@ -1,11 +1,16 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from bitcube import ArrayCode, Shape
 from bitcube.cache import cache_filename
 from bitcube.cli import main, resolve_cache_dir
+
+from conftest import SAMPLE_SEED
+from orbit_oracle import OrbitMinima, large_orbit_naive, small_orbit_naive
 
 
 @pytest.fixture()
@@ -123,6 +128,28 @@ def test_rank_with_group_prints_canonical(cache_env, capsys):
     assert lines[0] == "6"
     assert lines[1] == "canonical: 0110101110111101"
     assert lines[2] == "orbit-size: 24"
+
+
+@pytest.mark.parametrize("group", ["small", "large"])
+def test_rank_with_group_matches_orbit_oracle(cache_env, capsys, group):
+    oracle = OrbitMinima(4)
+    canonical_of, expand = {
+        "small": (oracle.small, small_orbit_naive),
+        "large": (oracle.large, large_orbit_naive),
+    }[group]
+    sizes = []
+    for code in random.Random(SAMPLE_SEED + 5).sample(range(1 << 16), 3):
+        a = ArrayCode(code, Shape(4))
+        sizes.append(len(expand(a)))
+        exit_code, out, _ = run_cli(
+            capsys, "rank", "--n", "4", "--semiring", "gf2", "--group", group, a.text()
+        )
+        assert exit_code == 0
+        assert out.splitlines()[1:] == [
+            f"canonical: {ArrayCode(canonical_of(code), Shape(4)).text()}",
+            f"orbit-size: {sizes[-1]}",
+        ]
+    assert max(sizes) == {"small": 1296, "large": 7776}[group]  # largest orbits
 
 
 def test_rank_malformed_array_is_usage_error(cache_env, capsys):

@@ -248,6 +248,14 @@ def test_orbit_labels_read_only_and_dimension_checked():
         orbit_labels(Shape(5), "small")
 
 
+def test_unknown_group_kind_rejected(tables):
+    for group in ("bogus", "cube", "Small"):
+        with pytest.raises(ValueError):
+            orbit_labels(S3, group)
+        with pytest.raises(ValueError):
+            classify(tables[(3, "gf2")], group)
+
+
 def test_orbits_closed_under_generators():
     rng = random.Random(SAMPLE_SEED + 2)
     for code in rng.sample(range(65536), 10):

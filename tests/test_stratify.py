@@ -14,7 +14,9 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
+from bitcube.groups import _generator_tables, _orbit_labels
 from bitcube.stratify import percent_text
+from rank_oracle import closure_ranks
 
 S3 = Shape(3)
 S4 = Shape(4)
@@ -91,6 +93,31 @@ def test_strata_partition_code_space(tables):
 
 def test_boolean_and_integer_strata_coincide_at_n3(tables):
     assert tables[(3, "bool")].strata == tables[(3, "nat")].strata
+
+
+@pytest.fixture(scope="module")
+def closure():
+    return {(n, s.value): closure_ranks(n, s.value) for n in (3, 4) for s in Semiring}
+
+
+def test_ranks_equal_unreduced_closure(tables, closure):
+    for key, table in tables.items():
+        assert np.array_equal(table.ranks, closure[key]), key
+
+
+def test_ranks_invariant_under_cube_generators(closure):
+    # the premise of expanding one code per orbit of the cube's symmetries
+    for (n, _), ref in closure.items():
+        for t in _generator_tables(n, "cube"):
+            assert np.array_equal(ref[t], ref)
+
+
+def test_cube_orbit_counts():
+    # orbits of 0-1 functions on the n-cube's vertices under its symmetry
+    # group: 22 and 402 (OEIS A000616)
+    for n, count in ((3, 22), (4, 402)):
+        labels = _orbit_labels(n, "cube")
+        assert np.count_nonzero(labels == np.arange(labels.size)) == count
 
 
 def _rank_array(table):
