@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 Vec2 = Tuple[int, int]
@@ -193,6 +194,7 @@ def outer_product(factors: Sequence[Vec2], shape: Shape) -> ArrayCode:
     return ArrayCode(code, shape)
 
 
+@lru_cache(maxsize=None)
 def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     """Sorted raw codes of all rank-1 arrays; there are exactly 3**n."""
     codes = {

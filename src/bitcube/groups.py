@@ -8,17 +8,21 @@ extends it by all direction permutations.  Both actions preserve rank.
 
 Orbits are represented by one label array per (n, group): the label of a
 code is the numerically minimal member of its orbit, which is the orbit's
-canonical form.  The labels are computed for the whole code space at once
-by min-label propagation with pointer jumping, as in Shiloach and Vishkin's
-connected-components algorithm: starting from the identity, each code takes
-the smaller of its own label and the label of its image under each
-generator (two matrices per direction, plus the adjacent transpositions for
-the large group), then every label is replaced by its own label, until
-nothing changes.  Classification, orbits and splits are derived from the
-labels.
+canonical form.  The labels come from one fixed sequence of in-place steps
+labels = minimum(labels, labels[t]) over generator tables t.  If each label
+is the minimum over a set A of group elements, a step along s makes it the
+minimum over A·{e, s}.  A group with a normal subgroup N and a transversal
+T is N·T, as in stabiliser chains (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 4), so the pairs {e, s} need only multiply
+out to such transversals: swap, rot, rot along each direction give
+{e, s}{e, r, r²} = GL2_F2, distinct directions commute, and the bubble
+sequence t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions reaches
+every coset of S_k in S_(k+1).  Large labels are small labels followed by
+the bubble sequence; classification, orbits and splits derive from labels.
 
 A private third set, "cube" (the slice swap ((0, 1), (1, 0)) per direction
-plus the transpositions), generates the n-cube's symmetry group for stratify.
+plus the transpositions), generates the n-cube's symmetry group for
+stratify: its labels take one swap per direction, then the bubble sequence.
 """
 
 from __future__ import annotations
@@ -184,13 +188,17 @@ def _generator_tables(n: int, group: str) -> tuple[np.ndarray, ...]:
 def _orbit_labels(n: int, group: str) -> np.ndarray:
     tables = _generator_tables(n, group)
     labels = np.arange(1 << (1 << n), dtype=np.uint32)
-    while True:
-        before = labels
-        for t in tables:
-            labels = np.minimum(labels, labels[t])
-        labels = labels[labels]
-        if np.array_equal(labels, before):
-            break
+    if group == "small":
+        steps = [t for swap, rot in zip(tables[0::2], tables[1::2]) for t in (swap, rot, rot)]
+    else:
+        perms = tables[len(tables) - n + 1:]
+        steps = [perms[j] for k in range(n - 1) for j in range(k, -1, -1)]
+        if group == "cube":
+            steps = list(tables[:n]) + steps
+        else:
+            labels = _orbit_labels(n, "small").copy()
+    for t in steps:
+        np.minimum(labels, labels.take(t), out=labels)
     labels.flags.writeable = False
     return labels
 
@@ -198,9 +206,8 @@ def _orbit_labels(n: int, group: str) -> np.ndarray:
 def orbit_labels(shape: Shape, group: GroupKind) -> np.ndarray:
     """Read-only array mapping every code to the minimal member of its orbit.
 
-    Every label is a member of the code's orbit and never exceeds the code,
-    and at the fixpoint labels are constant along every generator, hence on
-    whole orbits; the orbit minimum keeps its own code, so it is the label.
+    One pass of min-steps whose pairs {e, s} multiply out to the whole group
+    (see the module docstring) makes each label the minimum of its orbit.
     """
     if group not in ("small", "large"):
         raise ValueError(f"group must be 'small' or 'large', got {group!r}")

@@ -54,11 +54,12 @@ def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
 
     Rows are sorted by (rank, ones); empty classes are omitted.  Each class
     is keyed by rank * (2**n + 1) + ones, and its representative is the
-    first code of the class in a stable sort by key, i.e. its minimum.
+    first code of the class in a stable sort by key, i.e. its minimum.  The
+    keys fit in 16 bits, so the stable sort is a radix sort.
     """
     width = table.shape.m + 1
     codes = np.arange(table.shape.code_count, dtype=np.uint32)
-    keys = table.ranks.astype(np.intp) * width + np.bitwise_count(codes)
+    keys = table.ranks.astype(np.uint16) * width + np.bitwise_count(codes)
     counts = np.bincount(keys)
     first = np.argsort(keys, kind="stable")[np.cumsum(counts) - counts]
     return tuple(

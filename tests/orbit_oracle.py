@@ -13,7 +13,9 @@ over every group element rather than closed under a generator set:
 The small orbit is expanded axis by axis over all six matrices, so it costs
 at most 6 + 36 + 216 + 1296 scalar actions at n = 4.  The large orbit is
 the union of the small orbits of all direction permutations of the code,
-since permutations normalize the small group.
+since permutations normalize the small group.  The orbit under the n-cube's
+symmetry group is expanded over all 2**n * n! cell maps: swap the two
+slices of any subset of directions, then transpose subscripts.
 """
 
 from __future__ import annotations
@@ -92,6 +94,19 @@ def act_permutation(p: AxisPermutation, a: ArrayCode) -> ArrayCode:
     return ArrayCode(_apply(_permutation_masks(p.perm, a.shape.n), a.code), a.shape)
 
 
+@lru_cache(maxsize=None)
+def _cube_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    # the entry at s comes from the subscripts s[perm[j]], with subscript
+    # 1 <-> 2 exchanged in every direction j where flips[j] is set
+    return tuple(
+        _cell_masks(n, lambda s: [tuple(
+            3 - s[perm[j]] if flips[j] else s[perm[j]] for j in range(n)
+        )])
+        for flips in itertools.product((False, True), repeat=n)
+        for perm in itertools.permutations(range(n))
+    )
+
+
 def _permutations(n: int) -> list[AxisPermutation]:
     return [AxisPermutation(p) for p in itertools.permutations(range(1, n + 1))]
 
@@ -123,6 +138,8 @@ class OrbitMinima:
     Each small orbit is expanded once and remembered for all its members.
     The large orbit minimum is the least small-orbit minimum over the
     direction permutations of the code; it depends only on the small orbit.
+    Each orbit of the n-cube's symmetry group is expanded once over every
+    cell map.
     """
 
     def __init__(self, n: int):
@@ -130,6 +147,15 @@ class OrbitMinima:
         self._perms = _permutations(n)
         self._small: dict[int, int] = {}
         self._large: dict[int, int] = {}
+        self._cube: dict[int, int] = {}
+
+    def cube(self, code: int) -> int:
+        if code not in self._cube:
+            orbit = {_apply(masks, code) for masks in _cube_masks(self.shape.n)}
+            low = min(orbit)
+            for member in orbit:
+                self._cube[member] = low
+        return self._cube[code]
 
     def small(self, code: int) -> int:
         if code not in self._small:

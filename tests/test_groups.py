@@ -21,7 +21,12 @@ from bitcube import (
     orbit_split,
     small_orbit,
 )
-from bitcube.groups import axis_action_table, permutation_action_table
+from bitcube.groups import (
+    _generator_tables,
+    _orbit_labels,
+    axis_action_table,
+    permutation_action_table,
+)
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import (
@@ -227,17 +232,33 @@ def test_breadth_first_closure_equals_full_expansion_n4():
 def test_labels_equal_oracle_orbit_minima_exhaustive_n3():
     oracle = OrbitMinima(3)
     small, large = orbit_labels(S3, "small"), orbit_labels(S3, "large")
+    cube = _orbit_labels(3, "cube")
     for code in range(256):
         assert int(small[code]) == oracle.small(code)
         assert int(large[code]) == oracle.large(code)
+        assert int(cube[code]) == oracle.cube(code)
 
 
 def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
     oracle = OrbitMinima(4)
     small, large = orbit_labels(S4, "small"), orbit_labels(S4, "large")
+    cube = _orbit_labels(4, "cube")
     for code in sample_codes_4:
         assert int(small[code]) == oracle.small(code)
         assert int(large[code]) == oracle.large(code)
+        assert int(cube[code]) == oracle.cube(code)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("group", ("small", "large", "cube"))
+def test_labels_are_orbit_invariant_idempotent_minima(n, group):
+    # over the whole code space: constant along every generator, a label is
+    # its own label, and no label exceeds its code
+    labels = _orbit_labels(n, group)
+    for t in _generator_tables(n, group):
+        assert np.array_equal(labels[t], labels)
+    assert np.array_equal(labels[labels], labels)
+    assert np.all(labels <= np.arange(labels.size))
 
 
 def test_orbit_labels_read_only_and_dimension_checked():
