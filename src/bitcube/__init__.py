@@ -5,7 +5,14 @@ its exact tensor rank under three addition rules (field with two elements,
 Boolean, non-negative integers), classifies orbits and canonical forms under
 the two symmetry groups defined over the field, and emits or verifies the
 full result tables.
+
+The names of `cache`, `groups` and `reporting` are imported on first access
+(PEP 562), so that each command loads only the modules it runs.  Those of
+`stratify` are imported eagerly: the function `stratify` shares its name
+with the submodule, which would otherwise shadow it once imported.
 """
+
+from importlib import import_module
 
 from .arrays import (
     ArrayCode,
@@ -19,31 +26,6 @@ from .arrays import (
     render_mat,
     unflatten,
 )
-from .cache import CacheError, cache_filename, dump_table, load_table
-from .groups import (
-    GL2_F2,
-    GL2_GENERATORS,
-    AxisPermutation,
-    GroupElement,
-    OrbitRecord,
-    OrbitSplit,
-    all_axis_permutations,
-    classify,
-    large_orbit,
-    orbit_labels,
-    orbit_split,
-    small_orbit,
-)
-from .reporting import (
-    PartitionRow,
-    TABLE_KINDS,
-    VerifyReport,
-    emit_all_tables,
-    emit_table,
-    lower_bounds,
-    partition_by_ones,
-    verify_all,
-)
 from .stratify import (
     RankShare,
     RankTable,
@@ -56,46 +38,38 @@ from .stratify import (
 
 __version__ = "0.1.0"
 
+_LAZY = {
+    "cache": ("CacheError", "cache_filename", "dump_table", "load_table"),
+    "groups": ("GL2_F2", "GL2_GENERATORS", "AxisPermutation", "GroupElement",
+               "OrbitRecord", "OrbitSplit", "all_axis_permutations", "classify",
+               "large_orbit", "orbit_labels", "orbit_split", "small_orbit"),
+    "reporting": ("PartitionRow", "TABLE_KINDS", "VerifyReport", "emit_all_tables",
+                  "emit_table", "lower_bounds", "partition_by_ones", "verify_all"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))
+
+
 __all__ = [
-    "ArrayCode",
-    "AxisPermutation",
-    "CacheError",
-    "GL2_F2",
-    "GL2_GENERATORS",
-    "GroupElement",
-    "NONZERO_VECS",
-    "OrbitRecord",
-    "OrbitSplit",
-    "PartitionRow",
-    "RankShare",
-    "RankTable",
-    "Semiring",
-    "Shape",
-    "ShapeMismatchError",
-    "TABLE_KINDS",
-    "UnsupportedShapeError",
-    "VerifyReport",
-    "all_axis_permutations",
-    "cache_filename",
-    "classify",
-    "combine",
-    "dump_table",
-    "emit_all_tables",
-    "emit_table",
-    "flatten",
-    "large_orbit",
-    "load_table",
-    "lower_bounds",
-    "orbit_labels",
-    "orbit_split",
-    "outer_product",
-    "partition_by_ones",
-    "rank_distribution",
-    "rank_of",
-    "rank_one_codes",
-    "render_mat",
-    "small_orbit",
-    "stratify",
-    "unflatten",
+    "ArrayCode", "AxisPermutation", "CacheError", "GL2_F2", "GL2_GENERATORS",
+    "GroupElement", "NONZERO_VECS", "OrbitRecord", "OrbitSplit", "PartitionRow",
+    "RankShare", "RankTable", "Semiring", "Shape", "ShapeMismatchError",
+    "TABLE_KINDS", "UnsupportedShapeError", "VerifyReport",
+    "all_axis_permutations", "cache_filename", "classify", "combine",
+    "dump_table", "emit_all_tables", "emit_table", "flatten", "large_orbit",
+    "load_table", "lower_bounds", "orbit_labels", "orbit_split",
+    "outer_product", "partition_by_ones", "rank_distribution", "rank_of",
+    "rank_one_codes", "render_mat", "small_orbit", "stratify", "unflatten",
     "verify_all",
 ]

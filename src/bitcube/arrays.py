@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterator, Mapping, Sequence, Tuple
 
 Vec2 = Tuple[int, int]
 
@@ -130,17 +130,6 @@ class ArrayCode:
                 f"expected {shape.m} characters '0'/'1', got {text!r}"
             )
         return cls(int(digits, 2), shape)
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[int], shape: Shape) -> "ArrayCode":
-        """Build from entries given in linearization order."""
-        bits = list(entries)
-        if len(bits) != shape.m or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"expected {shape.m} entries in {{0, 1}}")
-        code = 0
-        for b in bits:
-            code = (code << 1) | b
-        return cls(code, shape)
 
 
 def flatten(cells: Mapping[tuple[int, ...], int], shape: Shape) -> ArrayCode:

@@ -5,12 +5,15 @@ Stratifications are cached on disk (see cache.py for the layout); every
 command's output is a pure function of its arguments and the embedded
 reference dataset.  Exit codes: 0 success, 1 verification mismatch,
 2 usage error.
+
+Each command imports only the modules it runs: the cache, the symmetry
+groups, the reference dataset and numpy are imported inside the commands
+that need them, so `bounds`, `--help` and usage errors load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -18,8 +21,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .arrays import ArrayCode, Shape
-from .cache import FORMAT_VERSION, CacheError, cache_filename, dump_table, load_table
-from .groups import classify, orbit_labels, orbit_split
 from .reporting import (
     TABLE_KINDS,
     bounds_table,
@@ -74,8 +75,9 @@ def load_or_compute(n: int, semiring: Semiring, cfg: CliConfig) -> RankTable:
 
     A corrupted cache file, or one holding another (n, semiring) than the
     one asked for, is reported on stderr and recomputed; the fresh result
-    replaces the bad file.
+    replaces the bad file.  So is a cache entry that cannot be read at all.
     """
+    from .cache import CacheError, cache_filename, dump_table, load_table
     shape = Shape(n)
     if cfg.no_cache:
         return stratify(shape, semiring)
@@ -89,7 +91,7 @@ def load_or_compute(n: int, semiring: Semiring, cfg: CliConfig) -> RankTable:
                 f"{path}: holds n={table.shape.n} {table.semiring.value}, "
                 f"expected n={n} {semiring.value}"
             )
-        except CacheError as exc:
+        except (CacheError, OSError) as exc:
             print(f"warning: {exc}; recomputing", file=sys.stderr)
     table = stratify(shape, semiring)
     try:
@@ -129,6 +131,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     table = load_or_compute(args.n, semiring, _config(args))
     print(rank_of(code, table))
     if args.group is not None:
+        from .groups import orbit_labels
         labels = orbit_labels(shape, args.group)
         label = labels[code.code]
         print(f"canonical: {ArrayCode(int(label), shape).text()}")
@@ -137,6 +140,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .groups import classify
     semiring = _semiring(args)
     _require_field_for_group(semiring)
     table = load_or_compute(args.n, semiring, _config(args))
@@ -150,6 +154,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    from .groups import orbit_split
     table = load_or_compute(args.n, Semiring.GF2, _config(args))
     splits = orbit_split(table)
     if args.format == "text":
@@ -167,6 +172,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     """Structured-text dump of one stratification (the cache file content)."""
+    import json
+    from .cache import FORMAT_VERSION
     table = load_or_compute(args.n, _semiring(args), _config(args))
     strata_lines = ",\n".join(
         "    " + json.dumps(list(stratum)) for stratum in table.strata

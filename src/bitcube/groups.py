@@ -121,23 +121,6 @@ class OrbitSplit:
 # actions over the whole code space (n = 3, 4)
 # ---------------------------------------------------------------------------
 
-def _axis_mask(n: int, direction: int) -> int:
-    # code bits whose cell has subscript 1 in the given direction
-    pos = n - direction
-    return sum(1 << b for b in range(1 << n) if (b >> pos) & 1)
-
-
-def _perm_bit_sources(p: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # target code bit b takes the value of source bit sources[b]
-    sources = []
-    for b in range(1 << n):
-        s = 0
-        for j in range(1, n + 1):
-            s |= ((b >> (n - p[j - 1])) & 1) << (n - j)
-        sources.append(s)
-    return tuple(sources)
-
-
 def _require_enumerable(shape: Shape) -> None:
     if shape.n not in (3, 4):
         raise UnsupportedShapeError(
@@ -145,31 +128,43 @@ def _require_enumerable(shape: Shape) -> None:
         )
 
 
+def _linear_table(images: list[int]) -> np.ndarray:
+    # Every generator is linear over F2, so the image of a code is the xor of
+    # images[b] over its set bits b.  Split into halves, code = hi << k | lo
+    # maps to table_hi[hi] ^ table_lo[lo]: one xor-outer product.
+    halves = []
+    for part in (images[len(images) // 2:], images[:len(images) // 2]):
+        half = np.zeros(1, dtype=np.uint32)
+        for image in part:
+            half = np.concatenate((half, half ^ image))
+        halves.append(half)
+    out = np.bitwise_xor.outer(*halves).ravel()
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=None)
 def axis_action_table(g: GroupElement, direction: int, n: int) -> np.ndarray:
     """Image of every code under one matrix acting along one direction."""
-    codes = np.arange(1 << (1 << n), dtype=np.uint32)
-    shift = 1 << (n - direction)
-    m1 = _axis_mask(n, direction)
-    hi = codes & m1
-    lo = (codes & (m1 >> shift)) << shift
+    # code bit b holds an entry at subscript 1 along the direction iff b & s;
+    # the entry at subscript 2 of the same line is then bit b - s
+    s = 1 << (n - direction)
     (g11, g12), (g21, g22) = g.rows
-    new_hi = (hi if g11 else 0) ^ (lo if g12 else 0)
-    new_lo = (hi if g21 else 0) ^ (lo if g22 else 0)
-    out = new_hi | (new_lo >> shift)
-    out.flags.writeable = False
-    return out
+    return _linear_table([
+        g11 << b | g21 << (b - s) if b & s else g12 << (b + s) | g22 << b
+        for b in range(1 << n)
+    ])
 
 
 @lru_cache(maxsize=None)
 def permutation_action_table(p: AxisPermutation, n: int) -> np.ndarray:
     """Image of every code under one direction permutation."""
-    codes = np.arange(1 << (1 << n), dtype=np.uint32)
-    out = np.zeros_like(codes)
-    for b, s in enumerate(_perm_bit_sources(p.perm, n)):
-        out |= ((codes >> s) & 1) << np.uint32(b)
-    out.flags.writeable = False
-    return out
+    # the cell at code bit b moves to the cell whose subscript along p[j-1]
+    # is its subscript along j
+    return _linear_table([
+        1 << sum(((b >> (n - j)) & 1) << (n - p.perm[j - 1]) for j in range(1, n + 1))
+        for b in range(1 << n)
+    ])
 
 
 @lru_cache(maxsize=None)

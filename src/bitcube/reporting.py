@@ -8,19 +8,15 @@ is a reported outcome, never an exception.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
-from . import expected
 from .arrays import ArrayCode, Shape, render_mat
-from .groups import OrbitRecord, OrbitSplit, classify, orbit_labels, orbit_split
 from .stratify import RankTable, Semiring, rank_distribution, stratify
+
+# numpy, groups, expected, csv and json are imported by the functions that
+# use them, so that each command loads only what it runs.
 
 Cell = Union[int, str]
 
@@ -57,6 +53,7 @@ def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
     first code of the class in a stable sort by key, i.e. its minimum.  The
     keys fit in 16 bits, so the stable sort is a radix sort.
     """
+    import numpy as np
     width = table.shape.m + 1
     codes = np.arange(table.shape.code_count, dtype=np.uint32)
     keys = table.ranks.astype(np.uint16) * width + np.bitwise_count(codes)
@@ -178,6 +175,7 @@ def split_table(splits: Sequence[OrbitSplit], n: int) -> Table:
 
 def rank2_small_split(flat: bool = False) -> Table:
     """The three small orbits inside the rank-2 size-54 large orbit (n=3)."""
+    from .groups import classify, orbit_labels
     table = stratify(Shape(3), Semiring.GF2)
     big = next(
         rec for rec in classify(table, "large") if rec.rank == 2 and rec.size == 54
@@ -204,6 +202,7 @@ def bounds_table() -> Table:
 
 def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
     """Assemble one table kind (see TABLE_KINDS)."""
+    from .groups import classify, orbit_split
     if kind.startswith("strata-"):
         try:
             _, n_text, tag = kind.split("-")
@@ -261,6 +260,8 @@ def _to_markdown(table: Table) -> str:
 
 
 def _to_csv(table: Table) -> str:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(table.columns)
@@ -269,6 +270,7 @@ def _to_csv(table: Table) -> str:
 
 
 def _to_json(table: Table) -> str:
+    import json
     return json.dumps(
         {"name": table.name, "columns": list(table.columns),
          "rows": [list(row) for row in table.rows]},
@@ -294,6 +296,7 @@ def emit_table(kind: str, fmt: str = "md", flat: bool = False) -> str:
 def emit_all_tables(fmt: str = "md", flat: bool = False) -> str:
     """Every table kind in fixed order, as one document."""
     if fmt == "json":
+        import json
         payload = [
             json.loads(emit_table(kind, "json", flat)) for kind in TABLE_KINDS
         ]
@@ -371,10 +374,13 @@ def _scope_dimensions(scope: str) -> tuple[int, ...]:
     raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
 
 
-def verify_all(
-    scope: str = "all", data: expected.ReferenceData = expected.DEFAULT
-) -> VerifyReport:
-    """Recompute every classification in scope and compare with the dataset."""
+def verify_all(scope: str = "all", data: expected.ReferenceData | None = None) -> VerifyReport:
+    """Recompute every classification in scope and compare with the dataset
+    (by default the embedded one, expected.DEFAULT)."""
+    import numpy as np
+    from . import expected
+    from .groups import classify, orbit_split
+    data = expected.DEFAULT if data is None else data
     checks = []
     for n in _scope_dimensions(scope):
         shape = Shape(n)

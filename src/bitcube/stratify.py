@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .arrays import ArrayCode, Shape, ShapeMismatchError, UnsupportedShapeError, rank_one_codes
+
+# numpy and fractions are imported by the functions that use them: every
+# command imports this module, and `bounds` needs neither.
 
 
 class Semiring(enum.Enum):
@@ -74,6 +74,7 @@ class RankTable:
     ranks: np.ndarray
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
         if not isinstance(other, RankTable):
             return NotImplemented
         same_key = (self.shape, self.semiring) == (other.shape, other.semiring)
@@ -81,6 +82,7 @@ class RankTable:
 
     @cached_property
     def stratum_sizes(self) -> tuple[int, ...]:
+        import numpy as np
         return tuple(np.bincount(self.ranks).tolist())
 
     @property
@@ -89,6 +91,7 @@ class RankTable:
 
     @cached_property
     def strata(self) -> tuple[tuple[int, ...], ...]:
+        import numpy as np
         return tuple(
             tuple(np.flatnonzero(self.ranks == r).tolist())
             for r in range(self.r_max + 1)
@@ -108,6 +111,7 @@ def rank_of(a: ArrayCode, table: RankTable) -> int:
 
 
 def _expand_level(cur: np.ndarray, r1: np.ndarray, semiring: Semiring) -> np.ndarray:
+    import numpy as np
     if semiring is Semiring.GF2:
         return np.bitwise_xor.outer(cur, r1).ravel()
     if semiring is Semiring.BOOLEAN:
@@ -118,6 +122,8 @@ def _expand_level(cur: np.ndarray, r1: np.ndarray, semiring: Semiring) -> np.nda
 
 @lru_cache(maxsize=None)
 def _stratify(n: int, semiring: Semiring) -> RankTable:
+    import numpy as np
+
     from .groups import _orbit_labels  # deferred: groups imports this module
 
     labels = _orbit_labels(n, "cube")
@@ -178,6 +184,7 @@ class RankShare:
 
 def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
     """Counts per stratum with percentages of the full code space."""
+    from fractions import Fraction
     total = table.shape.code_count
     decimals = PERCENT_DECIMALS[table.shape.n]
     return tuple(

@@ -73,6 +73,16 @@ def test_cache_file_for_another_key_recomputed(cache_env, capsys):
     assert load_table(gf2_path).semiring is Semiring.GF2
 
 
+def test_unreadable_cache_entry_recomputed_with_warning(cache_env, capsys):
+    # a directory where the cache file should be cannot be read at all
+    (cache_env / "strata-v1-n3-gf2.bin").mkdir(parents=True)
+    code, out, err = run_cli(
+        capsys, "rank", "--n", "3", "--semiring", "gf2", "00000001"
+    )
+    assert (code, out) == (0, "1\n")
+    assert "warning" in err and "recomputing" in err
+
+
 def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BITCUBE_CACHE_DIR", str(tmp_path / "c"))
     code, _, _ = run_cli(

@@ -1,0 +1,99 @@
+"""Which modules each command loads.
+
+Every case runs in a fresh interpreter, because this test process has
+already imported every bitcube module.  `python -X importtime` lists each
+module on its first import, so the listing is the set of modules a command
+loaded beyond the interpreter's own start-up.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bitcube
+
+SRC = str(Path(bitcube.__file__).resolve().parents[1])
+
+
+def _env(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BITCUBE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["BITCUBE_CACHE_DIR"] = str(tmp_path / "cache")
+    return env
+
+
+def loaded_modules(tmp_path, *argv):
+    """Exit code of `python -m bitcube argv` and the modules it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bitcube", *argv],
+        capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+    )
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    assert "bitcube.cli" in modules, proc.stderr[-2000:]
+    return proc.returncode, modules
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["bounds"], 0),
+        (["bounds", "--format", "json"], 0),
+        (["--help"], 0),
+        (["enumerate", "--n", "5", "--semiring", "gf2"], 2),
+    ],
+)
+def test_commands_without_arrays_load_no_numpy(tmp_path, argv, exit_code):
+    code, modules = loaded_modules(tmp_path, *argv)
+    assert code == exit_code
+    assert "numpy" not in modules
+
+
+def test_rank_on_a_warm_cache_loads_only_what_it_runs(tmp_path):
+    argv = ("rank", "--n", "4", "--semiring", "gf2", "0110101110111101")
+    assert loaded_modules(tmp_path, *argv)[0] == 0  # fills the cache
+    code, modules = loaded_modules(tmp_path, *argv)
+    assert code == 0
+    assert {"numpy", "bitcube.cache", "bitcube.stratify"} <= modules
+    for name in ("bitcube.groups", "bitcube.expected", "json", "csv", "fractions"):
+        assert name not in modules
+
+
+def test_verify_loads_no_cache(tmp_path):
+    code, modules = loaded_modules(tmp_path, "verify", "--scope", "3")
+    assert code == 0
+    assert {"bitcube.groups", "bitcube.expected"} <= modules
+    assert "bitcube.cache" not in modules
+
+
+def test_every_exported_name_is_the_defining_modules_object(tmp_path):
+    # After a command has run and every submodule is imported, the package
+    # attribute `stratify` must still be the function, not the submodule.
+    script = """
+import importlib, sys, types
+import bitcube
+from bitcube.cli import main
+assert main(["rank", "--n", "3", "--semiring", "gf2", "00000001"]) == 0
+modules = [importlib.import_module("bitcube." + m)
+           for m in ("arrays", "stratify", "cache", "groups", "reporting")]
+for name in bitcube.__all__:
+    namespace = {}
+    exec(f"from bitcube import {name}", namespace)
+    obj = namespace[name]
+    owners = [m for m in modules if name in vars(m)]
+    assert not isinstance(obj, types.ModuleType), name
+    assert owners and all(vars(m)[name] is obj for m in owners), name
+print("checked", len(bitcube.__all__))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == f"1\nchecked {len(bitcube.__all__)}\n"
