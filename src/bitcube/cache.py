@@ -1,6 +1,7 @@
-"""Versioned binary cache for rank tables.
+"""Versioned binary serialisation of rank tables.
 
-Layout, all little-endian:
+A library serialiser only: no command reads or writes these files, since
+every command computes its tables in process.  Layout, all little-endian:
 
     magic            6 bytes  b"BCRKTB"
     format version   u16
@@ -42,10 +43,6 @@ class CacheError(Exception):
     """The cache file is corrupted or written in an incompatible layout."""
 
 
-def cache_filename(n: int, semiring: Semiring) -> str:
-    return f"strata-v{FORMAT_VERSION}-n{n}-{semiring.value}.bin"
-
-
 def dump_table(table: RankTable, path: Path) -> None:
     """Write a rank table to its binary cache layout, atomically."""
     parts = [
@@ -74,7 +71,13 @@ def dump_table(table: RankTable, path: Path) -> None:
 
 
 def load_table(path: Path) -> RankTable:
-    """Read a rank table back; raises CacheError on any anomaly."""
+    """Read a rank table back; raises CacheError on any anomaly.
+
+    The checks catch corruption: a bad checksum, header or length, codes out
+    of range or not partitioning the code space, wrong strata 0 and 1.  They
+    do not catch a consistent forgery, say two codes swapped between higher
+    strata with the checksum recomputed; only recomputing the table would.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + _U32.size:
         raise CacheError(f"{path}: truncated cache file")

@@ -1,23 +1,20 @@
 """Command-line surface: enumerate, rank, classify, split, bounds, export,
 tables and verify.
 
-Stratifications are cached on disk (see cache.py for the layout); every
-command's output is a pure function of its arguments and the embedded
-reference dataset.  Exit codes: 0 success, 1 verification mismatch,
-2 usage error.
+Every command computes the stratifications it needs in process (`stratify`
+memoises them) and reads or writes no file; its output is a pure function
+of its arguments and the embedded reference dataset.  Exit codes:
+0 success, 1 verification mismatch, 2 usage error.
 
-Each command imports only the modules it runs: the cache, the symmetry
-groups, the reference dataset and numpy are imported inside the commands
-that need them, so `bounds`, `--help` and usage errors load no numpy.
+Each command imports only the modules it runs: the symmetry groups, the
+reference dataset and numpy are imported inside the commands that need
+them, so `bounds`, `--help` and usage errors load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .arrays import ArrayCode, Shape
@@ -33,72 +30,11 @@ from .reporting import (
     split_table,
     verify_all,
 )
-from .stratify import RankTable, Semiring, rank_of, stratify
-
-ENV_CACHE_DIR = "BITCUBE_CACHE_DIR"
-DEFAULT_CACHE_DIR = "~/.cache/bitcube"
+from .stratify import Semiring, rank_of, stratify
 
 
 class UsageError(Exception):
     """Invalid flag combination or malformed command input."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved cache options shared by the table-consuming commands."""
-
-    cache_dir: Path
-    force_recompute: bool = False
-    no_cache: bool = False
-
-
-def resolve_cache_dir(flag_value: Optional[str]) -> Path:
-    """Explicit flag wins, then the environment variable, then the default."""
-    if flag_value:
-        return Path(flag_value).expanduser()
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env).expanduser()
-    return Path(DEFAULT_CACHE_DIR).expanduser()
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        cache_dir=resolve_cache_dir(getattr(args, "cache_dir", None)),
-        force_recompute=getattr(args, "force_recompute", False),
-        no_cache=getattr(args, "no_cache", False),
-    )
-
-
-def load_or_compute(n: int, semiring: Semiring, cfg: CliConfig) -> RankTable:
-    """Serve the stratification from cache when possible, else compute it.
-
-    A corrupted cache file, or one holding another (n, semiring) than the
-    one asked for, is reported on stderr and recomputed; the fresh result
-    replaces the bad file.  So is a cache entry that cannot be read at all.
-    """
-    from .cache import CacheError, cache_filename, dump_table, load_table
-    shape = Shape(n)
-    if cfg.no_cache:
-        return stratify(shape, semiring)
-    path = cfg.cache_dir / cache_filename(n, semiring)
-    if path.exists() and not cfg.force_recompute:
-        try:
-            table = load_table(path)
-            if (table.shape.n, table.semiring) == (n, semiring):
-                return table
-            raise CacheError(
-                f"{path}: holds n={table.shape.n} {table.semiring.value}, "
-                f"expected n={n} {semiring.value}"
-            )
-        except (CacheError, OSError) as exc:
-            print(f"warning: {exc}; recomputing", file=sys.stderr)
-    table = stratify(shape, semiring)
-    try:
-        dump_table(table, path)
-    except OSError as exc:
-        print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
-    return table
 
 
 def _semiring(args: argparse.Namespace) -> Semiring:
@@ -114,7 +50,7 @@ def _require_field_for_group(semiring: Semiring) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    table = load_or_compute(args.n, _semiring(args), _config(args))
+    table = stratify(Shape(args.n), _semiring(args))
     print(render_table(distribution_table(table, args.format), args.format), end="")
     return 0
 
@@ -128,8 +64,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         code = ArrayCode.from_text(" ".join(args.array), shape)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    table = load_or_compute(args.n, semiring, _config(args))
-    print(rank_of(code, table))
+    print(rank_of(code, stratify(shape, semiring)))
     if args.group is not None:
         from .groups import orbit_labels
         labels = orbit_labels(shape, args.group)
@@ -143,7 +78,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .groups import classify
     semiring = _semiring(args)
     _require_field_for_group(semiring)
-    table = load_or_compute(args.n, semiring, _config(args))
+    table = stratify(Shape(args.n), semiring)
     records = classify(table, args.group)
     name = f"orbits-{args.n}-{args.group}"
     print(
@@ -155,7 +90,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     from .groups import orbit_split
-    table = load_or_compute(args.n, Semiring.GF2, _config(args))
+    table = stratify(Shape(args.n), Semiring.GF2)
     splits = orbit_split(table)
     if args.format == "text":
         for s in splits:
@@ -171,16 +106,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    """Structured-text dump of one stratification (the cache file content)."""
+    """One stratification as JSON, every stratum on a line of its own."""
     import json
-    from .cache import FORMAT_VERSION
-    table = load_or_compute(args.n, _semiring(args), _config(args))
+    table = stratify(Shape(args.n), _semiring(args))
     strata_lines = ",\n".join(
         "    " + json.dumps(list(stratum)) for stratum in table.strata
     )
     print(
         "{\n"
-        f'  "format_version": {FORMAT_VERSION},\n'
+        '  "format_version": 1,\n'
         f'  "n": {table.shape.n},\n'
         f'  "semiring": {json.dumps(table.semiring.value)},\n'
         f'  "max_rank": {table.r_max},\n'
@@ -190,12 +124,6 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if not cfg.no_cache:
-        # persist the stratifications so other commands are served from disk
-        for n in (3, 4):
-            for semiring in Semiring:
-                load_or_compute(n, semiring, cfg)
     if args.kind == "all":
         print(emit_all_tables(args.format, args.flat), end="")
     else:
@@ -208,23 +136,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
-
-
-def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=f"stratification cache directory (default ${ENV_CACHE_DIR} "
-        f"or {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--force-recompute",
-        action="store_true",
-        help="ignore existing cache files and rewrite them",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="neither read nor write the cache"
-    )
 
 
 def _add_format_option(parser: argparse.ArgumentParser, choices, default) -> None:
@@ -243,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
     p.add_argument("--semiring", choices=("gf2", "bool", "nat"), required=True)
     _add_format_option(p, ("md", "csv", "json"), "md")
-    _add_cache_options(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("rank", help="rank of one array given as a 0/1 string")
@@ -255,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="2**n characters '0'/'1' in linearization order; spaces allowed",
     )
-    _add_cache_options(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("classify", help="orbit classification over the field")
@@ -264,13 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semiring", choices=("gf2", "bool", "nat"), default="gf2")
     p.add_argument("--flat", action="store_true", help="flattened canonical forms")
     _add_format_option(p, ("md", "csv", "json"), "md")
-    _add_cache_options(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("split", help="large-to-small orbit splitting report")
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
     _add_format_option(p, ("text", "md", "csv", "json"), "text")
-    _add_cache_options(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("bounds", help="orbit-count lower bounds for n = 3..6")
@@ -278,18 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser(
-        "export", help="dump one stratification (cache content) as structured text"
+        "export", help="dump one stratification as structured text"
     )
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
     p.add_argument("--semiring", choices=("gf2", "bool", "nat"), required=True)
-    _add_cache_options(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("tables", help="emit reference tables")
     p.add_argument("--kind", choices=TABLE_KINDS + ("all",), default="all")
     p.add_argument("--flat", action="store_true", help="flattened forms everywhere")
     _add_format_option(p, ("md", "csv", "json"), "md")
-    _add_cache_options(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="check every computed value against the dataset")

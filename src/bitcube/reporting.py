@@ -202,7 +202,6 @@ def bounds_table() -> Table:
 
 def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
     """Assemble one table kind (see TABLE_KINDS)."""
-    from .groups import classify, orbit_split
     if kind.startswith("strata-"):
         try:
             _, n_text, tag = kind.split("-")
@@ -214,6 +213,7 @@ def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
             raise ValueError(f"unknown table kind {kind!r}")
         return distribution_table(stratify(Shape(n), semiring), fmt)
     if kind in ("table1", "table3"):
+        from .groups import classify
         n = 3 if kind == "table1" else 4
         records = classify(stratify(Shape(n), Semiring.GF2), "large")
         return Table(
@@ -232,6 +232,7 @@ def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
         }[kind]
         return partition_table(stratify(Shape(n), semiring), kind, flat)
     if kind in ("split-3", "split-4"):
+        from .groups import orbit_split
         n = int(kind[-1])
         return split_table(orbit_split(stratify(Shape(n), Semiring.GF2)), n)
     if kind == "small-split-3":

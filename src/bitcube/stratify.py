@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 from .arrays import ArrayCode, Shape, ShapeMismatchError, UnsupportedShapeError, rank_one_codes
 
@@ -39,25 +38,6 @@ class Semiring(enum.Enum):
     GF2 = "gf2"
     BOOLEAN = "bool"
     NONNEG = "nat"
-
-
-def combine(x: ArrayCode, y: ArrayCode, semiring: Semiring) -> Optional[ArrayCode]:
-    """Sum of two codes under the semiring, or None when the pair is rejected.
-
-    Rejection happens only in the non-negative integer case, when the two
-    supports overlap; it is a normal outcome, not an error.
-    """
-    if x.shape != y.shape:
-        raise ShapeMismatchError(
-            f"cannot combine codes of dimension {x.shape.n} and {y.shape.n}"
-        )
-    if semiring is Semiring.GF2:
-        return ArrayCode(x.code ^ y.code, x.shape)
-    if semiring is Semiring.BOOLEAN:
-        return ArrayCode(x.code | y.code, x.shape)
-    if x.code & y.code:
-        return None
-    return ArrayCode(x.code | y.code, x.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@ import zlib
 
 import pytest
 
-from bitcube import CacheError, cache_filename, dump_table, load_table
+from bitcube import CacheError, dump_table, load_table
 from bitcube.cache import FORMAT_VERSION
 
 
@@ -21,16 +21,16 @@ def gf2_n3_strata(tables):
 
 def test_round_trip_every_table(tables, tmp_path):
     for (n, tag), table in tables.items():
-        path = tmp_path / cache_filename(n, table.semiring)
+        path = tmp_path / f"strata-n{n}-{tag}.bin"
         dump_table(table, path)
         assert load_table(path) == table
 
 
-def test_filename_carries_version_and_key():
-    from bitcube import Semiring
-
-    name = cache_filename(4, Semiring.GF2)
-    assert f"v{FORMAT_VERSION}" in name and "n4" in name and "gf2" in name
+def test_header_carries_version_and_key(tables, tmp_path):
+    path = tmp_path / "t.bin"
+    dump_table(tables[(4, "bool")], path)
+    header = struct.unpack_from("<6sHBBB3x", path.read_bytes())
+    assert header == (b"BCRKTB", FORMAT_VERSION, 4, 1, tables[(4, "bool")].r_max)
 
 
 def test_checksum_detects_corruption(tables, tmp_path):
@@ -122,10 +122,10 @@ def test_failed_write_leaves_no_partial_file(tables, tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")
 
-    old = tmp_path / cache_filename(3, tables[(3, "gf2")].semiring)
+    old = tmp_path / "strata-n3-gf2.bin"
     dump_table(tables[(3, "gf2")], old)
     monkeypatch.setattr(bitcube.cache.os, "replace", fail)
-    new = tmp_path / cache_filename(4, tables[(4, "gf2")].semiring)
+    new = tmp_path / "strata-n4-gf2.bin"
     for path in (old, new):
         with pytest.raises(OSError, match="disk full"):
             dump_table(tables[(4, "gf2")], path)

@@ -6,17 +6,10 @@ import sys
 import pytest
 
 from bitcube import ArrayCode, Shape
-from bitcube.cache import cache_filename
-from bitcube.cli import main, resolve_cache_dir
+from bitcube.cli import main
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import OrbitMinima, large_orbit_naive, small_orbit_naive
-
-
-@pytest.fixture()
-def cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("BITCUBE_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path / "cache"
 
 
 def run_cli(capsys, *argv):
@@ -25,91 +18,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_enumerate_gf2_n3(cache_env, capsys):
+def test_enumerate_gf2_n3(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--semiring", "gf2")
     assert code == 0
     counts = [int(l.split("|")[2]) for l in out.splitlines()[2:]]
     assert counts == [1, 27, 162, 66]
 
 
-def test_enumerate_nat_n4(cache_env, capsys):
+def test_enumerate_nat_n4(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--semiring", "nat")
     assert code == 0
     counts = [int(l.split("|")[2]) for l in out.splitlines()[2:]]
     assert counts[-3:] == [3908, 560, 26]
 
 
-def test_enumerate_served_from_cache_is_identical(cache_env, capsys):
-    args = ("enumerate", "--n", "3", "--semiring", "bool")
-    code1, out1, _ = run_cli(capsys, *args)
-    assert (cache_env / cache_filename(3, __import__("bitcube").Semiring.BOOLEAN)).exists()
-    code2, out2, _ = run_cli(capsys, *args)
-    assert (code1, out1) == (code2, out2)
-
-
-def test_corrupted_cache_recomputed_with_warning(cache_env, capsys):
-    args = ("enumerate", "--n", "3", "--semiring", "gf2")
-    _, out1, _ = run_cli(capsys, *args)
-    path = cache_env / "strata-v1-n3-gf2.bin"
-    path.write_bytes(b"\x00" * 40)
-    code, out2, err = run_cli(capsys, *args)
-    assert code == 0
-    assert out2 == out1
-    assert "warning" in err and "recomputing" in err
-
-
-def test_cache_file_for_another_key_recomputed(cache_env, capsys):
-    # a Boolean table copied over the GF(2) file must not answer GF(2) queries
-    from bitcube import Semiring, load_table
-
-    run_cli(capsys, "enumerate", "--n", "4", "--semiring", "bool")
-    gf2_path = cache_env / cache_filename(4, Semiring.GF2)
-    gf2_path.write_bytes((cache_env / cache_filename(4, Semiring.BOOLEAN)).read_bytes())
-    code, out, err = run_cli(
-        capsys, "rank", "--n", "4", "--semiring", "gf2", "0110101110111101"
-    )
-    assert (code, out) == (0, "6\n")
-    assert "expected n=4 gf2" in err and "recomputing" in err
-    assert load_table(gf2_path).semiring is Semiring.GF2
-
-
-def test_unreadable_cache_entry_recomputed_with_warning(cache_env, capsys):
-    # a directory where the cache file should be cannot be read at all
-    (cache_env / "strata-v1-n3-gf2.bin").mkdir(parents=True)
-    code, out, err = run_cli(
-        capsys, "rank", "--n", "3", "--semiring", "gf2", "00000001"
-    )
-    assert (code, out) == (0, "1\n")
-    assert "warning" in err and "recomputing" in err
-
-
-def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BITCUBE_CACHE_DIR", str(tmp_path / "c"))
-    code, _, _ = run_cli(
-        capsys, "enumerate", "--n", "3", "--semiring", "gf2", "--no-cache"
-    )
-    assert code == 0
-    assert not (tmp_path / "c").exists()
-
-
-def test_cache_dir_flag_beats_environment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BITCUBE_CACHE_DIR", str(tmp_path / "env"))
-    flag_dir = tmp_path / "flag"
-    code, _, _ = run_cli(
-        capsys,
-        "enumerate", "--n", "3", "--semiring", "gf2",
-        "--cache-dir", str(flag_dir),
-    )
-    assert code == 0
-    assert flag_dir.exists() and not (tmp_path / "env").exists()
-
-
-def test_resolve_cache_dir_default(monkeypatch):
-    monkeypatch.delenv("BITCUBE_CACHE_DIR", raising=False)
-    assert resolve_cache_dir(None).name == "bitcube"
-
-
-def test_rank_single_cell(cache_env, capsys):
+def test_rank_single_cell(capsys):
     code, out, _ = run_cli(
         capsys, "rank", "--n", "3", "--semiring", "gf2", "00000001"
     )
@@ -117,7 +40,7 @@ def test_rank_single_cell(cache_env, capsys):
     assert out.splitlines()[0] == "1"
 
 
-def test_rank_accepts_spaced_digits(cache_env, capsys):
+def test_rank_accepts_spaced_digits(capsys):
     code, out, _ = run_cli(
         capsys,
         "rank", "--n", "4", "--semiring", "bool",
@@ -127,7 +50,7 @@ def test_rank_accepts_spaced_digits(cache_env, capsys):
     assert out.splitlines()[0] == "8"
 
 
-def test_rank_with_group_prints_canonical(cache_env, capsys):
+def test_rank_with_group_prints_canonical(capsys):
     code, out, _ = run_cli(
         capsys,
         "rank", "--n", "4", "--semiring", "gf2", "--group", "large",
@@ -141,7 +64,7 @@ def test_rank_with_group_prints_canonical(cache_env, capsys):
 
 
 @pytest.mark.parametrize("group", ["small", "large"])
-def test_rank_with_group_matches_orbit_oracle(cache_env, capsys, group):
+def test_rank_with_group_matches_orbit_oracle(capsys, group):
     oracle = OrbitMinima(4)
     canonical_of, expand = {
         "small": (oracle.small, small_orbit_naive),
@@ -162,7 +85,7 @@ def test_rank_with_group_matches_orbit_oracle(cache_env, capsys, group):
     assert max(sizes) == {"small": 1296, "large": 7776}[group]  # largest orbits
 
 
-def test_rank_malformed_array_is_usage_error(cache_env, capsys):
+def test_rank_malformed_array_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "rank", "--n", "3", "--semiring", "gf2", "0101"
     )
@@ -170,7 +93,7 @@ def test_rank_malformed_array_is_usage_error(cache_env, capsys):
     assert "error" in err
 
 
-def test_group_with_boolean_semiring_is_usage_error(cache_env, capsys):
+def test_group_with_boolean_semiring_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,
         "rank", "--n", "3", "--semiring", "bool", "--group", "large",
@@ -180,7 +103,7 @@ def test_group_with_boolean_semiring_is_usage_error(cache_env, capsys):
     assert "canonical forms" in err
 
 
-def test_classify_large_n4_has_30_rows(cache_env, capsys):
+def test_classify_large_n4_has_30_rows(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--n", "4", "--group", "large"
     )
@@ -189,7 +112,7 @@ def test_classify_large_n4_has_30_rows(cache_env, capsys):
     assert len(rows) == 30
 
 
-def test_classify_small_n3_has_8_rows(cache_env, capsys):
+def test_classify_small_n3_has_8_rows(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--n", "3", "--group", "small", "--flat"
     )
@@ -199,7 +122,7 @@ def test_classify_small_n3_has_8_rows(cache_env, capsys):
     assert "00010010" in out
 
 
-def test_classify_non_field_semiring_rejected(cache_env, capsys):
+def test_classify_non_field_semiring_rejected(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--n", "3", "--group", "small", "--semiring", "nat"
     )
@@ -207,7 +130,7 @@ def test_classify_non_field_semiring_rejected(cache_env, capsys):
     assert "canonical forms" in err
 
 
-def test_split_text_lines(cache_env, capsys):
+def test_split_text_lines(capsys):
     code, out, _ = run_cli(capsys, "split", "--n", "4")
     assert code == 0
     lines = out.splitlines()
@@ -217,7 +140,7 @@ def test_split_text_lines(cache_env, capsys):
     assert lines[0] == "1 → 1·1"
 
 
-def test_split_n3(cache_env, capsys):
+def test_split_n3(capsys):
     code, out, _ = run_cli(capsys, "split", "--n", "3")
     assert code == 0
     assert out.splitlines() == [
@@ -236,7 +159,7 @@ def test_bounds_table(capsys):
     assert "| 6 | 395377745064077 | 549135757034 |" in out
 
 
-def test_export_round_trips_the_stratification(cache_env, capsys):
+def test_export_round_trips_the_stratification(capsys):
     import json
 
     from bitcube import Semiring, Shape, stratify
@@ -252,7 +175,7 @@ def test_export_round_trips_the_stratification(cache_env, capsys):
     assert [tuple(s) for s in payload["strata"]] == list(table.strata)
 
 
-def test_tables_single_kind(cache_env, capsys):
+def test_tables_single_kind(capsys):
     code, out, _ = run_cli(
         capsys, "tables", "--kind", "strata-3-gf2", "--format", "csv"
     )
@@ -260,22 +183,20 @@ def test_tables_single_kind(cache_env, capsys):
     assert out.startswith("rank,count,percent")
 
 
-def test_verify_exits_zero(cache_env, capsys):
+def test_verify_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "3")
     assert code == 0
     assert "0 mismatches" in out
 
 
-def test_usage_error_exit_code_from_argparse(cache_env, capsys):
+def test_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "5", "--semiring", "gf2"])
     assert exc.value.code == 2
 
 
-def _run_subprocess(args, seed, cache_dir):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = seed
-    env["BITCUBE_CACHE_DIR"] = cache_dir
+def _run_subprocess(args, seed, home):
+    env = dict(os.environ, PYTHONHASHSEED=seed, HOME=str(home))
     return subprocess.run(
         [sys.executable, "-m", "bitcube", *args],
         capture_output=True,
@@ -286,8 +207,9 @@ def _run_subprocess(args, seed, cache_dir):
 
 def test_module_entry_point_tables_deterministic(tmp_path):
     args = ["tables", "--format", "md"]
-    first = _run_subprocess(args, "1", str(tmp_path / "cache"))
-    second = _run_subprocess(args, "2", str(tmp_path / "cache"))
+    first = _run_subprocess(args, "1", tmp_path)
+    second = _run_subprocess(args, "2", tmp_path)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert b"## table3" in first.stdout
+    assert list(tmp_path.iterdir()) == []  # no file under $HOME

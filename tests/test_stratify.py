@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from bitcube import (
     ArrayCode,
@@ -8,7 +7,6 @@ from bitcube import (
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
-    combine,
     rank_distribution,
     rank_of,
     rank_one_codes,
@@ -20,40 +18,6 @@ from rank_oracle import closure_ranks
 
 S3 = Shape(3)
 S4 = Shape(4)
-
-codes_3 = st.integers(0, 255)
-
-
-@given(codes_3)
-def test_combine_gf2_self_cancels(code):
-    a = ArrayCode(code, S3)
-    assert combine(a, a, Semiring.GF2) == ArrayCode(0, S3)
-
-
-@given(codes_3)
-def test_combine_boolean_idempotent(code):
-    a = ArrayCode(code, S3)
-    assert combine(a, a, Semiring.BOOLEAN) == a
-
-
-def test_combine_nonneg_rejects_overlap():
-    one = ArrayCode(1, S3)
-    assert combine(one, one, Semiring.NONNEG) is None
-
-
-@given(codes_3, codes_3)
-def test_combine_nonneg_matches_support_rule(x, y):
-    a, b = ArrayCode(x, S3), ArrayCode(y, S3)
-    result = combine(a, b, Semiring.NONNEG)
-    if x & y:
-        assert result is None
-    else:
-        assert result == ArrayCode(x | y, S3)
-
-
-def test_combine_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        combine(ArrayCode(0, S3), ArrayCode(0, S4), Semiring.GF2)
 
 
 def test_stratify_rejects_large_dimensions():
