@@ -14,6 +14,7 @@ them, so `bounds`, `--help` and usage errors load no numpy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -215,4 +216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    # no command calls BLAS, whose idle threads would spin on every other core
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -19,10 +19,6 @@ out to such transversals: swap, rot, rot along each direction give
 sequence t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions reaches
 every coset of S_k in S_(k+1).  Large labels are small labels followed by
 the bubble sequence; classification, orbits and splits derive from labels.
-
-A private third set, "cube" (the slice swap ((0, 1), (1, 0)) per direction
-plus the transpositions), generates the n-cube's symmetry group for
-stratify: its labels take one swap per direction, then the bubble sequence.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .arrays import ArrayCode, Shape, UnsupportedShapeError
-from .stratify import RankTable, Semiring
+from .stratify import RankTable, Semiring, _cube_tables, _linear_table, _min_steps
 
 GroupKind = Literal["small", "large"]
 
@@ -128,21 +124,6 @@ def _require_enumerable(shape: Shape) -> None:
         )
 
 
-def _linear_table(images: list[int]) -> np.ndarray:
-    # Every generator is linear over F2, so the image of a code is the xor of
-    # images[b] over its set bits b.  Split into halves, code = hi << k | lo
-    # maps to table_hi[hi] ^ table_lo[lo]: one xor-outer product.
-    halves = []
-    for part in (images[len(images) // 2:], images[:len(images) // 2]):
-        half = np.zeros(1, dtype=np.uint32)
-        for image in part:
-            half = np.concatenate((half, half ^ image))
-        halves.append(half)
-    out = np.bitwise_xor.outer(*halves).ravel()
-    out.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=None)
 def axis_action_table(g: GroupElement, direction: int, n: int) -> np.ndarray:
     """Image of every code under one matrix acting along one direction."""
@@ -169,33 +150,21 @@ def permutation_action_table(p: AxisPermutation, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _generator_tables(n: int, group: str) -> tuple[np.ndarray, ...]:
-    matrices = GL2_F2[:1] if group == "cube" else GL2_GENERATORS  # [0]: slice swap
-    tables = [axis_action_table(g, d, n) for d in range(1, n + 1) for g in matrices]
-    if group != "small":
-        for j in range(1, n):
-            perm = list(range(1, n + 1))
-            perm[j - 1], perm[j] = perm[j], perm[j - 1]
-            tables.append(permutation_action_table(AxisPermutation(tuple(perm)), n))
-    return tuple(tables)
+    # swap and rot per direction, then the transpositions; the swap is the
+    # slice swap, so the swaps and transpositions are stratify's cube tables
+    cube = _cube_tables(n)
+    rots = [axis_action_table(GL2_GENERATORS[1], d, n) for d in range(1, n + 1)]
+    tables = tuple(t for swap_rot in zip(cube[:n], rots) for t in swap_rot)
+    return tables if group == "small" else tables + cube[n:]
 
 
 @lru_cache(maxsize=None)
 def _orbit_labels(n: int, group: str) -> np.ndarray:
     tables = _generator_tables(n, group)
-    labels = np.arange(1 << (1 << n), dtype=np.uint32)
     if group == "small":
         steps = [t for swap, rot in zip(tables[0::2], tables[1::2]) for t in (swap, rot, rot)]
-    else:
-        perms = tables[len(tables) - n + 1:]
-        steps = [perms[j] for k in range(n - 1) for j in range(k, -1, -1)]
-        if group == "cube":
-            steps = list(tables[:n]) + steps
-        else:
-            labels = _orbit_labels(n, "small").copy()
-    for t in steps:
-        np.minimum(labels, labels.take(t), out=labels)
-    labels.flags.writeable = False
-    return labels
+        return _min_steps(np.arange(1 << (1 << n), dtype=np.uint32), steps)
+    return _min_steps(_orbit_labels(n, "small").copy(), (), tables[2 * n:])
 
 
 def orbit_labels(shape: Shape, group: GroupKind) -> np.ndarray:

@@ -100,13 +100,56 @@ def _expand_level(cur: np.ndarray, r1: np.ndarray, semiring: Semiring) -> np.nda
     return np.bitwise_or.outer(cur, r1).ravel()[keep]
 
 
+def _linear_table(images: list[int]) -> np.ndarray:
+    # Every generator is linear over F2, so the image of a code is the xor of
+    # images[b] over its set bits b.  Split into halves, code = hi << k | lo
+    # maps to table_hi[hi] ^ table_lo[lo]: one xor-outer product.
+    import numpy as np
+    halves = []
+    for part in (images[len(images) // 2:], images[:len(images) // 2]):
+        half = np.zeros(1, dtype=np.uint32)
+        for image in part:
+            half = np.concatenate((half, half ^ image))
+        halves.append(half)
+    out = np.bitwise_xor.outer(*halves).ravel()
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cube_tables(n: int) -> tuple[np.ndarray, ...]:
+    # The slice swaps along directions d = 1..n, then the transpositions of
+    # directions j, j + 1.  Both permute cells: code bit b holds the cell with
+    # subscript 1 along d iff bit n - d of b is set.
+    cells = [[b ^ 1 << (n - d) for b in range(1 << n)] for d in range(1, n + 1)]
+    cells += [[b ^ ((b >> (n - j) ^ b >> (n - j - 1)) & 1) * (3 << (n - j - 1))
+               for b in range(1 << n)] for j in range(1, n)]
+    return tuple(_linear_table([1 << c for c in images]) for images in cells)
+
+
+def _min_steps(labels: np.ndarray, steps, transpositions=()) -> np.ndarray:
+    # labels = minimum(labels, labels[t]) in place along the steps, then along
+    # the bubble sequence of the transpositions (see bitcube.groups)
+    import numpy as np
+    bubble = (transpositions[j] for i in range(len(transpositions)) for j in range(i, -1, -1))
+    for t in [*steps, *bubble]:
+        np.minimum(labels, labels.take(t), out=labels)
+    labels.flags.writeable = False
+    return labels
+
+
+@lru_cache(maxsize=None)
+def _cube_labels(n: int) -> np.ndarray:
+    # the minimum of every code's orbit under the n-cube's symmetry group
+    import numpy as np
+    tables = _cube_tables(n)
+    return _min_steps(np.arange(1 << (1 << n), dtype=np.uint32), tables[:n], tables[n:])
+
+
 @lru_cache(maxsize=None)
 def _stratify(n: int, semiring: Semiring) -> RankTable:
     import numpy as np
-
-    from .groups import _orbit_labels  # deferred: groups imports this module
-
-    labels = _orbit_labels(n, "cube")
+    labels = _cube_labels(n)
     rep_rank = np.full(labels.size, 255, dtype=np.uint8)  # 255: not ranked yet
     rep_rank[0] = 0
     hit = np.zeros(labels.size, dtype=bool)

@@ -27,6 +27,7 @@ from bitcube.groups import (
     axis_action_table,
     permutation_action_table,
 )
+from bitcube.stratify import _cube_labels, _cube_tables
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import (
@@ -232,7 +233,7 @@ def test_breadth_first_closure_equals_full_expansion_n4():
 def test_labels_equal_oracle_orbit_minima_exhaustive_n3():
     oracle = OrbitMinima(3)
     small, large = orbit_labels(S3, "small"), orbit_labels(S3, "large")
-    cube = _orbit_labels(3, "cube")
+    cube = _cube_labels(3)
     for code in range(256):
         assert int(small[code]) == oracle.small(code)
         assert int(large[code]) == oracle.large(code)
@@ -242,7 +243,7 @@ def test_labels_equal_oracle_orbit_minima_exhaustive_n3():
 def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
     oracle = OrbitMinima(4)
     small, large = orbit_labels(S4, "small"), orbit_labels(S4, "large")
-    cube = _orbit_labels(4, "cube")
+    cube = _cube_labels(4)
     for code in sample_codes_4:
         assert int(small[code]) == oracle.small(code)
         assert int(large[code]) == oracle.large(code)
@@ -254,11 +255,28 @@ def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
 def test_labels_are_orbit_invariant_idempotent_minima(n, group):
     # over the whole code space: constant along every generator, a label is
     # its own label, and no label exceeds its code
-    labels = _orbit_labels(n, group)
-    for t in _generator_tables(n, group):
+    if group == "cube":
+        labels, tables = _cube_labels(n), _cube_tables(n)
+    else:
+        labels, tables = _orbit_labels(n, group), _generator_tables(n, group)
+    for t in tables:
         assert np.array_equal(labels[t], labels)
     assert np.array_equal(labels[labels], labels)
     assert np.all(labels <= np.arange(labels.size))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_cube_tables_equal_action_tables(n):
+    # the n-cube's generators, built as cell permutations, against the
+    # matrix and direction-permutation builders: the slice swap is GL2_F2[0]
+    tables = _cube_tables(n)
+    for d in range(1, n + 1):
+        assert np.array_equal(tables[d - 1], axis_action_table(GL2_F2[0], d, n))
+    for j in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[j - 1], perm[j] = perm[j], perm[j - 1]
+        table = permutation_action_table(AxisPermutation(tuple(perm)), n)
+        assert np.array_equal(tables[n + j - 1], table)
 
 
 def test_orbit_labels_read_only_and_dimension_checked():

@@ -56,15 +56,47 @@ def test_commands_without_arrays_load_no_numpy(tmp_path, argv, exit_code):
 
 
 def test_rank_loads_only_what_it_runs(tmp_path):
-    # stratify builds the n-cube orbit labels with bitcube.groups, so a plain
-    # rank loads that module too; only the cache and the dataset stay out.
     code, modules = loaded_modules(
         tmp_path, "rank", "--n", "4", "--semiring", "gf2", "0110101110111101"
     )
     assert code == 0
     assert {"numpy", "bitcube.stratify"} <= modules
-    for name in ("bitcube.cache", "bitcube.expected", "json", "csv", "fractions"):
+    for name in ("bitcube.groups", "bitcube.cache", "bitcube.expected", "json", "csv",
+                 "fractions"):
         assert name not in modules
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", (None, "2"))
+def test_cli_runs_blas_single_threaded_unless_told_otherwise(tmp_path, preset):
+    # numpy's OpenBLAS starts a worker per extra core at import; no command
+    # calls BLAS, so the entry point asks for one thread.  A value the user
+    # set is left alone.
+    script = """
+import os, sys
+from bitcube.cli import entrypoint
+sys.argv = ["bitcube", "rank", "--n", "4", "--semiring", "gf2", "0110101110111101"]
+try:
+    entrypoint()
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
+      os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    env = _env(tmp_path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rank, code, numpy_loaded, threads, value = proc.stdout.split()
+    assert (rank, code, numpy_loaded) == ("6", "0", "True")
+    if preset is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
 
 
 def test_verify_loads_no_cache(tmp_path):

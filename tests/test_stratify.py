@@ -12,8 +12,7 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.groups import _generator_tables, _orbit_labels
-from bitcube.stratify import percent_text
+from bitcube.stratify import _cube_labels, _cube_tables, percent_text
 from rank_oracle import closure_ranks
 
 S3 = Shape(3)
@@ -72,7 +71,7 @@ def test_ranks_equal_unreduced_closure(tables, closure):
 def test_ranks_invariant_under_cube_generators(closure):
     # the premise of expanding one code per orbit of the cube's symmetries
     for (n, _), ref in closure.items():
-        for t in _generator_tables(n, "cube"):
+        for t in _cube_tables(n):
             assert np.array_equal(ref[t], ref)
 
 
@@ -80,7 +79,7 @@ def test_cube_orbit_counts():
     # orbits of 0-1 functions on the n-cube's vertices under its symmetry
     # group: 22 and 402 (OEIS A000616)
     for n, count in ((3, 22), (4, 402)):
-        labels = _orbit_labels(n, "cube")
+        labels = _cube_labels(n)
         assert np.count_nonzero(labels == np.arange(labels.size)) == count
 
 
