@@ -54,9 +54,9 @@ def dump_table(table: RankTable, path: Path) -> None:
             table.r_max,
         )
     ]
-    for r, count in enumerate(table.stratum_sizes):
-        parts.append(_U32.pack(count))
-        parts.append(np.flatnonzero(table.ranks == r).astype("<u4").tobytes())
+    for stratum in table.strata:
+        parts.append(_U32.pack(len(stratum)))
+        parts.append(np.array(stratum, dtype="<u4").tobytes())
     body = b"".join(parts)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -118,7 +118,10 @@ def load_table(path: Path) -> RankTable:
     codes = np.concatenate(strata)
     if not (np.bincount(codes, minlength=shape.code_count) == 1).all():
         raise CacheError(f"{path}: strata do not partition the code space")
-    ranks = np.empty(shape.code_count, dtype=np.uint8)
-    ranks[codes] = np.repeat(np.arange(r_max + 1), [s.size for s in strata])
-    ranks.flags.writeable = False
-    return RankTable(shape, _SEMIRING_OF[tag], ranks)
+    levels = []
+    for stratum in strata:
+        members = np.zeros(shape.code_count, dtype=bool)
+        members[stratum] = True
+        bits = np.packbits(members, bitorder="little").tobytes()
+        levels.append(int.from_bytes(bits, "little"))
+    return RankTable(shape, _SEMIRING_OF[tag], tuple(levels))

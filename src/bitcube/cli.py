@@ -8,7 +8,8 @@ of its arguments and the embedded reference dataset.  Exit codes:
 
 Each command imports only the modules it runs: the symmetry groups, the
 reference dataset and numpy are imported inside the commands that need
-them, so `bounds`, `--help` and usage errors load no numpy.
+them.  Only the orbit labels need numpy, so `bounds`, `--help`, usage
+errors and plain `rank`, `enumerate` and `export` load none.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .arrays import ArrayCode, Shape, UnsupportedShapeError
-from .stratify import RankTable, Semiring, _cube_tables, _linear_table, _min_steps
+from .stratify import RankTable, Semiring, _cube_generators
 
 GroupKind = Literal["small", "large"]
 
@@ -124,6 +124,21 @@ def _require_enumerable(shape: Shape) -> None:
         )
 
 
+def _linear_table(images: list[int]) -> np.ndarray:
+    # Every generator is linear over F2, so the image of a code is the xor of
+    # images[b] over its set bits b.  Split into halves, code = hi << k | lo
+    # maps to table_hi[hi] ^ table_lo[lo]: one xor-outer product.
+    halves = []
+    for part in (images[len(images) // 2:], images[:len(images) // 2]):
+        half = np.zeros(1, dtype=np.uint32)
+        for image in part:
+            half = np.concatenate((half, half ^ image))
+        halves.append(half)
+    out = np.bitwise_xor.outer(*halves).ravel()
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=None)
 def axis_action_table(g: GroupElement, direction: int, n: int) -> np.ndarray:
     """Image of every code under one matrix acting along one direction."""
@@ -149,9 +164,25 @@ def permutation_action_table(p: AxisPermutation, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _cube_tables(n: int) -> tuple[np.ndarray, ...]:
+    # the slice swaps, then the transpositions of adjacent directions
+    return tuple(_linear_table([1 << c for c in images]) for images in _cube_generators(n))
+
+
+def _min_steps(labels: np.ndarray, steps, transpositions=()) -> np.ndarray:
+    # labels = minimum(labels, labels[t]) in place along the steps, then along
+    # the bubble sequence of the transpositions
+    bubble = (transpositions[j] for i in range(len(transpositions)) for j in range(i, -1, -1))
+    for t in [*steps, *bubble]:
+        np.minimum(labels, labels.take(t), out=labels)
+    labels.flags.writeable = False
+    return labels
+
+
+@lru_cache(maxsize=None)
 def _generator_tables(n: int, group: str) -> tuple[np.ndarray, ...]:
     # swap and rot per direction, then the transpositions; the swap is the
-    # slice swap, so the swaps and transpositions are stratify's cube tables
+    # slice swap, so the swaps and transpositions are the cube's generators
     cube = _cube_tables(n)
     rots = [axis_action_table(GL2_GENERATORS[1], d, n) for d in range(1, n + 1)]
     tables = tuple(t for swap_rot in zip(cube[:n], rots) for t in swap_rot)
@@ -220,13 +251,14 @@ def classify(table: RankTable, group: GroupKind) -> tuple[OrbitRecord, ...]:
     """
     _require_field(table)
     canon, sizes = _canonical_codes(orbit_labels(table.shape, group))
-    ranks = table.ranks[canon]
+    rows = sorted(
+        (table.rank_of_code(code), code, size)
+        for code, size in zip(canon.tolist(), sizes.tolist())
+    )
     records = []
-    for i in np.lexsort((canon, ranks)):
-        canonical = ArrayCode(int(canon[i]), table.shape)
-        records.append(
-            OrbitRecord(canonical, int(ranks[i]), int(sizes[i]), canonical.ones(), group)
-        )
+    for rank, code, size in rows:
+        canonical = ArrayCode(code, table.shape)
+        records.append(OrbitRecord(canonical, rank, size, canonical.ones(), group))
     return tuple(records)
 
 

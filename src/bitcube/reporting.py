@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .arrays import ArrayCode, Shape, render_mat
 from .stratify import RankTable, Semiring, rank_distribution, stratify
 
-# numpy, groups, expected, csv and json are imported by the functions that
-# use them, so that each command loads only what it runs.
+# groups, expected, csv and json are imported by the functions that use
+# them, so that each command loads only what it runs.
 
 Cell = Union[int, str]
 
@@ -45,25 +46,32 @@ class PartitionRow:
     representative: ArrayCode
 
 
+@lru_cache(maxsize=None)
+def _ones_masks(n: int) -> tuple[int, ...]:
+    # per count w, the bitset of the codes with w ones: the codes below
+    # 2**(b + 1) with w ones are those below 2**b with w ones, and those
+    # with w - 1 ones plus 2**b
+    masks = [1]
+    for b in range(1 << n):
+        masks = [low | high << (1 << b) for low, high in zip(masks + [0], [0] + masks)]
+    return tuple(masks)
+
+
 def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
     """Partition each stratum by the number of entries equal to 1.
 
     Rows are sorted by (rank, ones); empty classes are omitted.  Each class
-    is keyed by rank * (2**n + 1) + ones, and its representative is the
-    first code of the class in a stable sort by key, i.e. its minimum.  The
-    keys fit in 16 bits, so the stable sort is a radix sort.
+    is a level of the table intersected with the codes of one ones count;
+    its representative is its minimum, the lowest set bit.
     """
-    import numpy as np
-    width = table.shape.m + 1
-    codes = np.arange(table.shape.code_count, dtype=np.uint32)
-    keys = table.ranks.astype(np.uint16) * width + np.bitwise_count(codes)
-    counts = np.bincount(keys)
-    first = np.argsort(keys, kind="stable")[np.cumsum(counts) - counts]
-    return tuple(
-        PartitionRow(key // width, key % width, int(counts[key]),
-                     ArrayCode(int(first[key]), table.shape))
-        for key in np.flatnonzero(counts).tolist()
-    )
+    rows = []
+    for rank, level in enumerate(table.levels):
+        for ones, mask in enumerate(_ones_masks(table.shape.n)):
+            codes = level & mask
+            if codes:
+                minimum = ArrayCode((codes & -codes).bit_length() - 1, table.shape)
+                rows.append(PartitionRow(rank, ones, codes.bit_count(), minimum))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +386,6 @@ def _scope_dimensions(scope: str) -> tuple[int, ...]:
 def verify_all(scope: str = "all", data: expected.ReferenceData | None = None) -> VerifyReport:
     """Recompute every classification in scope and compare with the dataset
     (by default the embedded one, expected.DEFAULT)."""
-    import numpy as np
     from . import expected
     from .groups import classify, orbit_split
     data = expected.DEFAULT if data is None else data
@@ -398,9 +405,7 @@ def verify_all(scope: str = "all", data: expected.ReferenceData | None = None) -
             checks.append(
                 _compare(
                     "boolean and integer strata identical n=3",
-                    np.array_equal(
-                        tables[Semiring.BOOLEAN].ranks, tables[Semiring.NONNEG].ranks
-                    ),
+                    tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels,
                     data.boolean_equals_nonneg_at_3,
                 )
             )

@@ -6,30 +6,48 @@ with two elements, inclusive-or for the Boolean case, and inclusive-or
 restricted to disjoint supports for the non-negative integer case (a pair
 of terms sharing a 1 simply contributes no candidate).
 
-A stratification is one dense array holding the rank of every code.  It is
+A stratification is one level per rank, each a set of codes held as a
+bitset: a Python int with bit c set iff code c has that rank.  It is
 computed level by level: the arrays of rank r + 1 are the sums x + y with x
-of exact rank r and y of rank 1, minus everything already ranked.
+of exact rank r and y of rank 1, minus everything already ranked.  A map
+that permutes the bits of the codes permutes the bits of a bitset, and a
+swap of two code bits i < j moves each member c with bit i set and bit j
+clear by 2**j - 2**i, all at once: one delta swap (Knuth, The Art of
+Computer Programming 4A, 7.1.3).
 
-Only the minimum of each orbit of the n-cube's symmetry group (order
-2**n * n!, generated by slice swaps and transpositions of directions) is
-expanded.  The group permutes cells, so it maps rank-1 arrays to rank-1
-arrays and commutes with xor, or and the disjointness test: every level is
-a union of orbits, and g(x) + y = g(x + g⁻¹(y)).  Each level's sums are
-mapped to their orbit minima and scattered into a bitmap with one flag per
-code; the new level is the flagged minima still unranked.  GF(2) rank has a
-larger symmetry group, but this one serves all three semirings alike.
+For the integer case x + y is x | y with x & y == 0, so the next level is
+the union of (level & Z_y) << y over the 3**n rank-1 codes y, where Z_y is
+the set of codes disjoint from y.  For the field and the Boolean case the
+level is translated by one rank-1 code per orbit of the n-cube's symmetry
+group (order 2**n * n!, generated by slice swaps and transpositions of
+directions), one code bit at a time, and the union is then closed under
+that group.  The group permutes cells, so it maps rank-1 arrays to rank-1
+arrays and commutes with xor and or: every level is a union of orbits, and
+g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.  The closure
+takes S = S | g(S) along the slice swaps, then along the bubble sequence
+t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions, whose pairs
+{e, g} multiply out to the whole group (see bitcube.groups).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
+from operator import and_, or_
 
-from .arrays import ArrayCode, Shape, ShapeMismatchError, UnsupportedShapeError, rank_one_codes
+from .arrays import (
+    ArrayCode,
+    Shape,
+    ShapeMismatchError,
+    UnsupportedShapeError,
+    outer_product,
+    rank_one_codes,
+)
 
-# numpy and fractions are imported by the functions that use them: every
-# command imports this module, and `bounds` needs neither.
+# fractions is imported by the function that uses it: every command imports
+# this module, and `bounds` does not need it.
 
 
 class Semiring(enum.Enum):
@@ -40,45 +58,45 @@ class Semiring(enum.Enum):
     NONNEG = "nat"
 
 
-@dataclass(frozen=True, eq=False)
+# the characters "0" and "1" to the bytes 0 and 1, for itertools.compress
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+@dataclass(frozen=True)
 class RankTable:
     """Exact rank of every code of one shape under one semiring.
 
-    ranks is a read-only uint8 array indexed by code.  Stratum r is the
-    ascending tuple of codes of exact rank r; stratum 0 is the zero array
-    alone and the last stratum is nonempty.
+    levels[r] is the set of codes of exact rank r as a bitset: bit c is set
+    iff code c has rank r.  The levels partition the code space, level 0 is
+    the zero array alone and the last level is nonempty.  Stratum r is the
+    ascending tuple of the codes in level r.
     """
 
     shape: Shape
     semiring: Semiring
-    ranks: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        import numpy as np
-        if not isinstance(other, RankTable):
-            return NotImplemented
-        same_key = (self.shape, self.semiring) == (other.shape, other.semiring)
-        return same_key and np.array_equal(self.ranks, other.ranks)
+    levels: tuple[int, ...]
 
     @cached_property
     def stratum_sizes(self) -> tuple[int, ...]:
-        import numpy as np
-        return tuple(np.bincount(self.ranks).tolist())
+        return tuple(level.bit_count() for level in self.levels)
 
     @property
     def r_max(self) -> int:
-        return len(self.stratum_sizes) - 1
+        return len(self.levels) - 1
 
     @cached_property
     def strata(self) -> tuple[tuple[int, ...], ...]:
-        import numpy as np
-        return tuple(
-            tuple(np.flatnonzero(self.ranks == r).tolist())
-            for r in range(self.r_max + 1)
-        )
+        # bit c of a level is character c of its reversed binary text; the
+        # codes are made once, not once per level
+        codes = tuple(range(self.shape.code_count))
+        texts = (format(level, f"0{len(codes)}b")[::-1] for level in self.levels)
+        return tuple(tuple(compress(codes, t.encode().translate(_FLAGS))) for t in texts)
 
     def rank_of_code(self, code: int) -> int:
-        return int(self.ranks[code])
+        for r, level in enumerate(self.levels):
+            if level >> code & 1:
+                return r
+        raise ValueError(f"code {code} out of range for dimension {self.shape.n}")
 
 
 def rank_of(a: ArrayCode, table: RankTable) -> int:
@@ -90,88 +108,112 @@ def rank_of(a: ArrayCode, table: RankTable) -> int:
     return table.rank_of_code(a.code)
 
 
-def _expand_level(cur: np.ndarray, r1: np.ndarray, semiring: Semiring) -> np.ndarray:
-    import numpy as np
-    if semiring is Semiring.GF2:
-        return np.bitwise_xor.outer(cur, r1).ravel()
-    if semiring is Semiring.BOOLEAN:
-        return np.bitwise_or.outer(cur, r1).ravel()
-    keep = np.bitwise_and.outer(cur, r1).ravel() == 0
-    return np.bitwise_or.outer(cur, r1).ravel()[keep]
+@lru_cache(maxsize=None)
+def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n-cube's generators as cell permutations: images[b] is the code
+    bit that the cell at code bit b moves to.
 
-
-def _linear_table(images: list[int]) -> np.ndarray:
-    # Every generator is linear over F2, so the image of a code is the xor of
-    # images[b] over its set bits b.  Split into halves, code = hi << k | lo
-    # maps to table_hi[hi] ^ table_lo[lo]: one xor-outer product.
-    import numpy as np
-    halves = []
-    for part in (images[len(images) // 2:], images[:len(images) // 2]):
-        half = np.zeros(1, dtype=np.uint32)
-        for image in part:
-            half = np.concatenate((half, half ^ image))
-        halves.append(half)
-    out = np.bitwise_xor.outer(*halves).ravel()
-    out.flags.writeable = False
-    return out
+    The slice swaps along directions d = 1..n, then the transpositions of
+    directions j, j + 1.  Code bit b holds the cell with subscript 1 along d
+    iff bit n - d of b is set.  Every generator is an involution.
+    """
+    cells = [tuple(b ^ 1 << (n - d) for b in range(1 << n)) for d in range(1, n + 1)]
+    cells += [tuple(b ^ ((b >> (n - j) ^ b >> (n - j - 1)) & 1) * (3 << (n - j - 1))
+                    for b in range(1 << n)) for j in range(1, n)]
+    return tuple(cells)
 
 
 @lru_cache(maxsize=None)
-def _cube_tables(n: int) -> tuple[np.ndarray, ...]:
-    # The slice swaps along directions d = 1..n, then the transpositions of
-    # directions j, j + 1.  Both permute cells: code bit b holds the cell with
-    # subscript 1 along d iff bit n - d of b is set.
-    cells = [[b ^ 1 << (n - d) for b in range(1 << n)] for d in range(1, n + 1)]
-    cells += [[b ^ ((b >> (n - j) ^ b >> (n - j - 1)) & 1) * (3 << (n - j - 1))
-               for b in range(1 << n)] for j in range(1, n)]
-    return tuple(_linear_table([1 << c for c in images]) for images in cells)
-
-
-def _min_steps(labels: np.ndarray, steps, transpositions=()) -> np.ndarray:
-    # labels = minimum(labels, labels[t]) in place along the steps, then along
-    # the bubble sequence of the transpositions (see bitcube.groups)
-    import numpy as np
-    bubble = (transpositions[j] for i in range(len(transpositions)) for j in range(i, -1, -1))
-    for t in [*steps, *bubble]:
-        np.minimum(labels, labels.take(t), out=labels)
-    labels.flags.writeable = False
-    return labels
+def _clear_masks(n: int) -> tuple[int, ...]:
+    # per code bit b, the bitset of the codes with bit b clear: runs of 2**b
+    # members with period 2**(b + 1)
+    size, masks = 1 << (1 << n), []
+    for b in range(1 << n):
+        mask, period = (1 << (1 << b)) - 1, 2 << b
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        masks.append(mask)
+    return tuple(masks)
 
 
 @lru_cache(maxsize=None)
-def _cube_labels(n: int) -> np.ndarray:
-    # the minimum of every code's orbit under the n-cube's symmetry group
-    import numpy as np
-    tables = _cube_tables(n)
-    return _min_steps(np.arange(1 << (1 << n), dtype=np.uint32), tables[:n], tables[n:])
+def _closure_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # per step, the delta swaps (delta, mask) of its generator's code-bit
+    # transpositions i < j: the mask holds the codes with bit i set, bit j clear
+    clear = _clear_masks(n)
+    swaps = [tuple(((1 << j) - (1 << i), clear[j] & ~clear[i])
+                   for i, j in enumerate(images) if i < j)
+             for images in _cube_generators(n)]
+    moves = swaps[n:]
+    return (*swaps[:n], *(moves[j] for i in range(len(moves)) for j in range(i, -1, -1)))
+
+
+def _cube_closure(codes: int, n: int) -> int:
+    """The union of the images of a set of codes under the n-cube's group."""
+    for swaps in _closure_steps(n):
+        image = codes
+        for delta, mask in swaps:
+            t = (image ^ image >> delta) & mask
+            image ^= t | t << delta
+        codes |= image
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _orbit_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    # one rank-1 code per cube orbit: y_f has f factors (1, 1) and the rest
+    # (0, 1), for f = 0..n.  Each contains the one before, so list per f the
+    # code bits that y_f adds.
+    ys = [0] + [outer_product([(1, 1)] * f + [(0, 1)] * (n - f), Shape(n)).code
+                for f in range(n + 1)]
+    return tuple(tuple(b for b in range(1 << n) if (y & ~x) >> b & 1)
+                 for x, y in zip(ys, ys[1:]))
+
+
+@lru_cache(maxsize=None)
+def _disjoint_terms(n: int) -> tuple[tuple[int, int], ...]:
+    # every rank-1 code y with Z_y, the bitset of the codes disjoint from y
+    clear = _clear_masks(n)
+    return tuple(
+        (y, reduce(and_, (clear[b] for b in range(1 << n) if y >> b & 1)))
+        for y in rank_one_codes(Shape(n))
+    )
+
+
+def _sums(level: int, n: int, semiring: Semiring) -> int:
+    """Every sum x + y of a member x of the level and a rank-1 code y."""
+    if semiring is Semiring.NONNEG:
+        return reduce(or_, ((level & disjoint) << y for y, disjoint in _disjoint_terms(n)))
+    # add y_f one code bit b at a time: the members with bit b clear move up
+    # by 2**b, those with it set move down (xor) or stay (or)
+    clear, union = _clear_masks(n), 0
+    for bits in _orbit_bits(n):
+        for b in bits:
+            low = level & clear[b]
+            if semiring is Semiring.GF2:
+                level = level >> (1 << b) & clear[b] | low << (1 << b)
+            else:
+                level = level ^ low | low << (1 << b)
+        union |= level
+    return _cube_closure(union, n)
 
 
 @lru_cache(maxsize=None)
 def _stratify(n: int, semiring: Semiring) -> RankTable:
-    import numpy as np
-    labels = _cube_labels(n)
-    rep_rank = np.full(labels.size, 255, dtype=np.uint8)  # 255: not ranked yet
-    rep_rank[0] = 0
-    hit = np.zeros(labels.size, dtype=bool)
-    r1 = np.array(rank_one_codes(Shape(n)), dtype=np.uint32)
-    hit[labels[r1]] = True
-    cur, r = np.flatnonzero(hit).astype(np.uint32), 1
-    while cur.size:
-        rep_rank[cur] = r
-        hit[:] = False
-        hit[labels[_expand_level(cur, r1, semiring)]] = True
-        cur = np.flatnonzero(hit & (rep_rank == 255)).astype(np.uint32)
-        r += 1
-    ranks = rep_rank[labels]
-    ranks.flags.writeable = False
-    return RankTable(Shape(n), semiring, ranks)
+    everything = (1 << (1 << (1 << n))) - 1
+    levels, seen = [1], 1
+    while seen != everything:
+        levels.append(_sums(levels[-1], n, semiring) & ~seen)
+        seen |= levels[-1]
+    return RankTable(Shape(n), semiring, tuple(levels))
 
 
 def stratify(shape: Shape, semiring: Semiring) -> RankTable:
     """Stratify the full code space of a shape by exact rank.
 
-    Only n = 3 and n = 4 are supported: the presence table for n = 5 would
-    already need 2**32 flags.
+    Only n = 3 and n = 4 are supported: one level for n = 5 would already
+    be a 2**32-bit int.
     """
     if shape.n not in (3, 4):
         raise UnsupportedShapeError(

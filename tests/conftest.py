@@ -20,7 +20,7 @@ SAMPLE_SEED = 20260808
 def popcount_array(limit):
     """Set-bit counts of 0..limit-1, counted in pure Python.
 
-    An oracle for the engine, which counts bits with np.bitwise_count.
+    An oracle for the engine, which counts bits with int.bit_count on bitsets.
     """
     import numpy as np
 

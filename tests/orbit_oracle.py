@@ -147,14 +147,13 @@ class OrbitMinima:
         self._perms = _permutations(n)
         self._small: dict[int, int] = {}
         self._large: dict[int, int] = {}
-        self._cube: dict[int, int] = {}
+        self._cube: dict[int, frozenset[int]] = {}
 
-    def cube(self, code: int) -> int:
+    def cube_orbit(self, code: int) -> frozenset[int]:
         if code not in self._cube:
-            orbit = {_apply(masks, code) for masks in _cube_masks(self.shape.n)}
-            low = min(orbit)
+            orbit = frozenset(_apply(masks, code) for masks in _cube_masks(self.shape.n))
             for member in orbit:
-                self._cube[member] = low
+                self._cube[member] = orbit
         return self._cube[code]
 
     def small(self, code: int) -> int:

@@ -22,12 +22,12 @@ from bitcube import (
     small_orbit,
 )
 from bitcube.groups import (
+    _cube_tables,
     _generator_tables,
     _orbit_labels,
     axis_action_table,
     permutation_action_table,
 )
-from bitcube.stratify import _cube_labels, _cube_tables
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import (
@@ -233,32 +233,25 @@ def test_breadth_first_closure_equals_full_expansion_n4():
 def test_labels_equal_oracle_orbit_minima_exhaustive_n3():
     oracle = OrbitMinima(3)
     small, large = orbit_labels(S3, "small"), orbit_labels(S3, "large")
-    cube = _cube_labels(3)
     for code in range(256):
         assert int(small[code]) == oracle.small(code)
         assert int(large[code]) == oracle.large(code)
-        assert int(cube[code]) == oracle.cube(code)
 
 
 def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
     oracle = OrbitMinima(4)
     small, large = orbit_labels(S4, "small"), orbit_labels(S4, "large")
-    cube = _cube_labels(4)
     for code in sample_codes_4:
         assert int(small[code]) == oracle.small(code)
         assert int(large[code]) == oracle.large(code)
-        assert int(cube[code]) == oracle.cube(code)
 
 
 @pytest.mark.parametrize("n", (3, 4))
-@pytest.mark.parametrize("group", ("small", "large", "cube"))
+@pytest.mark.parametrize("group", ("small", "large"))
 def test_labels_are_orbit_invariant_idempotent_minima(n, group):
     # over the whole code space: constant along every generator, a label is
     # its own label, and no label exceeds its code
-    if group == "cube":
-        labels, tables = _cube_labels(n), _cube_tables(n)
-    else:
-        labels, tables = _orbit_labels(n, group), _generator_tables(n, group)
+    labels, tables = _orbit_labels(n, group), _generator_tables(n, group)
     for t in tables:
         assert np.array_equal(labels[t], labels)
     assert np.array_equal(labels[labels], labels)

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bitcube import (
@@ -85,17 +86,23 @@ def test_partition_row_invariants(tables):
         assert per_rank == {r: len(s) for r, s in enumerate(table.strata)}
 
 
-def test_partition_representative_is_class_minimum(tables):
-    table = tables[(3, "bool")]
-    rows = partition_by_ones(table)
-    for row in rows:
-        members = [
-            c
-            for c in table.strata[row.rank]
-            if bin(c).count("1") == row.ones
-        ]
-        assert row.representative.code == min(members)
-        assert len(members) == row.count
+def test_partition_counts_and_minima_equal_numpy(tables):
+    # an independent count and minimum per (rank, ones) class: np.unique
+    # over the keys rank * (2**n + 1) + ones of every code, in code order
+    from conftest import popcount_array
+
+    for (n, tag), table in tables.items():
+        ranks = np.zeros(Shape(n).code_count, dtype=np.int64)
+        for r, stratum in enumerate(table.strata):
+            ranks[np.fromiter(stratum, dtype=np.int64)] = r
+        width = Shape(n).m + 1
+        keys = ranks * width + popcount_array(Shape(n).code_count)
+        classes, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        expected = [(int(k) // width, int(k) % width, int(c), int(f))
+                    for k, c, f in zip(classes, counts, first)]
+        rows = [(r.rank, r.ones, r.count, r.representative.code)
+                for r in partition_by_ones(table)]
+        assert rows == expected, (n, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.stratify import _cube_labels, _cube_tables, percent_text
+from bitcube.groups import _cube_tables
+from bitcube.stratify import _cube_closure, percent_text
+from conftest import SAMPLE_SEED
+from orbit_oracle import OrbitMinima
 from rank_oracle import closure_ranks
 
 S3 = Shape(3)
@@ -63,9 +68,24 @@ def closure():
     return {(n, s.value): closure_ranks(n, s.value) for n in (3, 4) for s in Semiring}
 
 
-def test_ranks_equal_unreduced_closure(tables, closure):
+def _bitset(flags):
+    # bit c set iff flags[c]
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def test_levels_equal_unreduced_closure(tables, closure):
     for key, table in tables.items():
-        assert np.array_equal(table.ranks, closure[key]), key
+        ref = closure[key]
+        assert table.levels == tuple(_bitset(ref == r) for r in range(ref.max() + 1)), key
+
+
+def test_rank_of_code_equals_unreduced_closure(tables, closure, sample_codes_4):
+    for (n, tag), table in tables.items():
+        ref = closure[(n, tag)]
+        for code in range(256) if n == 3 else sample_codes_4[:2000]:
+            assert table.rank_of_code(code) == ref[code], (n, tag, code)
+        with pytest.raises(ValueError):
+            table.rank_of_code(Shape(n).code_count)
 
 
 def test_ranks_invariant_under_cube_generators(closure):
@@ -75,12 +95,34 @@ def test_ranks_invariant_under_cube_generators(closure):
             assert np.array_equal(ref[t], ref)
 
 
-def test_cube_orbit_counts():
+def _bitset_of(codes):
+    return sum(1 << c for c in set(codes))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_cube_closure_of_a_code_is_its_oracle_orbit(n):
+    # the oracle expands every code over all 2**n * n! cell maps
+    oracle = OrbitMinima(n)
+    rng = random.Random(SAMPLE_SEED + 3)
+    codes = range(256) if n == 3 else rng.sample(range(1 << 16), 300)
+    for code in codes:
+        assert _cube_closure(1 << code, n) == _bitset_of(oracle.cube_orbit(code)), code
+
+
+@pytest.mark.parametrize("n, count", ((3, 22), (4, 402)))
+def test_cube_orbits_equal_oracle_and_count(n, count):
     # orbits of 0-1 functions on the n-cube's vertices under its symmetry
-    # group: 22 and 402 (OEIS A000616)
-    for n, count in ((3, 22), (4, 402)):
-        labels = _cube_labels(n)
-        assert np.count_nonzero(labels == np.arange(labels.size)) == count
+    # group: 22 and 402 (OEIS A000616).  Every code lies in one of the
+    # closures compared, so this covers the whole code space.
+    oracle = OrbitMinima(n)
+    unseen, orbits = (1 << Shape(n).code_count) - 1, 0
+    while unseen:
+        code = (unseen & -unseen).bit_length() - 1
+        orbit = _cube_closure(1 << code, n)
+        assert orbit == _bitset_of(oracle.cube_orbit(code)), code
+        unseen &= ~orbit
+        orbits += 1
+    assert orbits == count
 
 
 def _rank_array(table):
