@@ -186,10 +186,11 @@ def outer_product(factors: Sequence[Vec2], shape: Shape) -> ArrayCode:
 @lru_cache(maxsize=None)
 def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     """Sorted raw codes of all rank-1 arrays; there are exactly 3**n."""
-    codes = {
-        outer_product(f, shape).code
-        for f in itertools.product(NONZERO_VECS, repeat=shape.n)
-    }
+    # prepend a factor (a, b) to the codes r of k factors: the new first
+    # subscript selects the high half (entry a) or the low half (entry b)
+    codes = [1]
+    for k in range(shape.n):
+        codes = [a * r << (1 << k) | b * r for a, b in NONZERO_VECS for r in codes]
     return tuple(sorted(codes))
 
 

@@ -8,8 +8,9 @@ of terms sharing a 1 simply contributes no candidate).
 
 A stratification is one level per rank, each a set of codes held as a
 bitset: a Python int with bit c set iff code c has that rank.  It is
-computed level by level: the arrays of rank r + 1 are the sums x + y with x
-of exact rank r and y of rank 1, minus everything already ranked.  A map
+computed level by level from the rank-1 codes: the arrays of rank r + 1 are
+the sums x + y with x of exact rank r and y of rank 1, minus everything
+already ranked.  A map
 that permutes the bits of the codes permutes the bits of a bitset, and a
 swap of two code bits i < j moves each member c with bit i set and bit j
 clear by 2**j - 2**i, all at once: one delta swap (Knuth, The Art of
@@ -202,7 +203,8 @@ def _sums(level: int, n: int, semiring: Semiring) -> int:
 @lru_cache(maxsize=None)
 def _stratify(n: int, semiring: Semiring) -> RankTable:
     everything = (1 << (1 << (1 << n))) - 1
-    levels, seen = [1], 1
+    rank_one = reduce(or_, (1 << y for y in rank_one_codes(Shape(n))))
+    levels, seen = [1, rank_one], 1 | rank_one
     while seen != everything:
         levels.append(_sums(levels[-1], n, semiring) & ~seen)
         seen |= levels[-1]

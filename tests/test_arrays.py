@@ -133,6 +133,8 @@ def test_rank_one_count_is_3_to_the_n(shape, expected):
     assert len(codes) == expected
     assert list(codes) == sorted(set(codes))
     assert 0 not in codes
+    products = itertools.product(NONZERO_VECS, repeat=shape.n)
+    assert set(codes) == {outer_product(f, shape).code for f in products}
 
 
 def test_all_outer_products_distinct_n3():

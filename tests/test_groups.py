@@ -28,6 +28,7 @@ from bitcube.groups import (
     axis_action_table,
     permutation_action_table,
 )
+from bitcube.stratify import _cube_closure
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import (
@@ -246,12 +247,29 @@ def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
         assert int(large[code]) == oracle.large(code)
 
 
+def _cube_closure_labels(n):
+    # each code's orbit minimum under the n-cube group, from stratify's
+    # bitset closure of the lowest code not yet labelled
+    labels = np.empty(Shape(n).code_count, dtype=np.int64)
+    unseen = (1 << labels.size) - 1
+    while unseen:
+        code = (unseen & -unseen).bit_length() - 1
+        orbit = _cube_closure(1 << code, n)
+        bits = np.frombuffer(orbit.to_bytes(labels.size // 8, "little"), dtype=np.uint8)
+        labels[np.flatnonzero(np.unpackbits(bits, bitorder="little"))] = code
+        unseen &= ~orbit
+    return labels
+
+
 @pytest.mark.parametrize("n", (3, 4))
-@pytest.mark.parametrize("group", ("small", "large"))
+@pytest.mark.parametrize("group", ("small", "large", "cube"))
 def test_labels_are_orbit_invariant_idempotent_minima(n, group):
     # over the whole code space: constant along every generator, a label is
     # its own label, and no label exceeds its code
-    labels, tables = _orbit_labels(n, group), _generator_tables(n, group)
+    if group == "cube":
+        labels, tables = _cube_closure_labels(n), _cube_tables(n)
+    else:
+        labels, tables = _orbit_labels(n, group), _generator_tables(n, group)
     for t in tables:
         assert np.array_equal(labels[t], labels)
     assert np.array_equal(labels[labels], labels)

@@ -86,7 +86,7 @@ def test_partition_row_invariants(tables):
         assert per_rank == {r: len(s) for r, s in enumerate(table.strata)}
 
 
-def test_partition_counts_and_minima_equal_numpy(tables):
+def test_partition_representative_is_class_minimum(tables):
     # an independent count and minimum per (rank, ones) class: np.unique
     # over the keys rank * (2**n + 1) + ones of every code, in code order
     from conftest import popcount_array
