@@ -10,11 +10,10 @@ A stratification is one level per rank, each a set of codes held as a
 bitset: a Python int with bit c set iff code c has that rank.  It is
 computed level by level from the rank-1 codes: the arrays of rank r + 1 are
 the sums x + y with x of exact rank r and y of rank 1, minus everything
-already ranked.  A map
-that permutes the bits of the codes permutes the bits of a bitset, and a
-swap of two code bits i < j moves each member c with bit i set and bit j
-clear by 2**j - 2**i, all at once: one delta swap (Knuth, The Art of
-Computer Programming 4A, 7.1.3).
+already ranked.  A map that permutes the bits of the codes permutes the
+bits of a bitset, and a swap of two code bits i < j moves each member c
+with bit i set and bit j clear by 2**j - 2**i, all at once: one delta swap
+(Knuth, The Art of Computer Programming 4A, 7.1.3).
 
 For the integer case x + y is x | y with x & y == 0, so the next level is
 the union of (level & Z_y) << y over the 3**n rank-1 codes y, where Z_y is
