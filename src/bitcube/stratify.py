@@ -93,8 +93,11 @@ class RankTable:
         return tuple(tuple(compress(codes, t.encode().translate(_FLAGS))) for t in texts)
 
     def rank_of_code(self, code: int) -> int:
+        # level & bit costs as much as the shorter operand, level >> code
+        # as much as the part of the level above the code
+        bit = 1 << code
         for r, level in enumerate(self.levels):
-            if level >> code & 1:
+            if level & bit:
                 return r
         raise ValueError(f"code {code} out of range for dimension {self.shape.n}")
 
