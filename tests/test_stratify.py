@@ -96,7 +96,7 @@ def test_ranks_invariant_under_cube_generators(closure):
 
 
 def _bitset_of(codes):
-    return sum(1 << c for c in set(codes))
+    return sum(1 << c for c in codes)
 
 
 @pytest.mark.parametrize("n", (3, 4))
