@@ -40,8 +40,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "cache": ("CacheError", "dump_table", "load_table"),
     "groups": ("GL2_F2", "GL2_GENERATORS", "AxisPermutation", "GroupElement",
-               "OrbitRecord", "OrbitSplit", "all_axis_permutations", "classify",
-               "large_orbit", "orbit_labels", "orbit_split", "small_orbit"),
+               "OrbitRecord", "OrbitSplit", "all_axis_permutations", "canonical_form",
+               "classify", "large_orbit", "orbit_split", "small_orbit"),
     "reporting": ("PartitionRow", "TABLE_KINDS", "VerifyReport", "emit_all_tables",
                   "emit_table", "lower_bounds", "partition_by_ones", "verify_all"),
 }
@@ -65,9 +65,9 @@ __all__ = [
     "GroupElement", "NONZERO_VECS", "OrbitRecord", "OrbitSplit", "PartitionRow",
     "RankShare", "RankTable", "Semiring", "Shape", "ShapeMismatchError",
     "TABLE_KINDS", "UnsupportedShapeError", "VerifyReport",
-    "all_axis_permutations", "classify", "dump_table", "emit_all_tables",
-    "emit_table", "flatten", "large_orbit", "load_table", "lower_bounds",
-    "orbit_labels", "orbit_split", "outer_product", "partition_by_ones",
+    "all_axis_permutations", "canonical_form", "classify", "dump_table",
+    "emit_all_tables", "emit_table", "flatten", "large_orbit", "load_table",
+    "lower_bounds", "orbit_split", "outer_product", "partition_by_ones",
     "rank_distribution", "rank_of", "rank_one_codes", "render_mat",
     "small_orbit", "stratify", "unflatten", "verify_all",
 ]

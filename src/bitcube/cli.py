@@ -6,16 +6,14 @@ memoises them) and reads or writes no file; its output is a pure function
 of its arguments and the embedded reference dataset.  Exit codes:
 0 success, 1 verification mismatch, 2 usage error.
 
-Each command imports only the modules it runs: the symmetry groups, the
-reference dataset and numpy are imported inside the commands that need
-them.  Only the orbit labels need numpy, so `bounds`, `--help`, usage
-errors and plain `rank`, `enumerate` and `export` load none.
+Each command imports only the modules it runs: the symmetry groups and the
+reference dataset are imported inside the commands that need them.  No
+command loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -68,11 +66,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     print(rank_of(code, stratify(shape, semiring)))
     if args.group is not None:
-        from .groups import orbit_labels
-        labels = orbit_labels(shape, args.group)
-        label = labels[code.code]
-        print(f"canonical: {ArrayCode(int(label), shape).text()}")
-        print(f"orbit-size: {(labels == label).sum()}")
+        from .groups import canonical_form
+        canonical, size = canonical_form(code, args.group)
+        print(f"canonical: {canonical.text()}")
+        print(f"orbit-size: {size}")
     return 0
 
 
@@ -217,6 +214,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    # no command calls BLAS, whose idle threads would spin on every other core
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -6,19 +6,20 @@ direction permutations transpose subscripts.  The small symmetry group is
 the n-fold direct product of the matrix group; the large symmetry group
 extends it by all direction permutations.  Both actions preserve rank.
 
-Orbits are represented by one label array per (n, group): the label of a
-code is the numerically minimal member of its orbit, which is the orbit's
-canonical form.  The labels come from one fixed sequence of in-place steps
-labels = minimum(labels, labels[t]) over generator tables t.  If each label
-is the minimum over a set A of group elements, a step along s makes it the
-minimum over A·{e, s}.  A group with a normal subgroup N and a transversal
-T is N·T, as in stabiliser chains (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, ch. 4), so the pairs {e, s} need only multiply
-out to such transversals: swap, rot, rot along each direction give
-{e, s}{e, r, r²} = GL2_F2, distinct directions commute, and the bubble
-sequence t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions reaches
-every coset of S_k in S_(k+1).  Large labels are small labels followed by
-the bubble sequence; classification, orbits and splits derive from labels.
+The canonical form of an orbit is its minimal member.  Orbits are found
+slice by slice, as in stabiliser chains (Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, ch. 4).  G3 = GL2_F2**3 acts on the n = 3
+codes as 216 tables.  An n = 4 code is x = A·2**8 + B, its slices at
+subscripts 1 and 2 along direction 1, and G3 acts on both alike.  A node
+(P, Q), with P a G3-orbit minimum, is the G3-orbit of the pairs (gP, gB)
+with B in the orbit of Q under P's stabiliser; its least code is
+P·2**8 + min Q.  The matrices along direction 1, (A, B) → (g11 A ⊕ g12 B,
+g21 A ⊕ g22 B), commute with G3 and are generated by (A, B) → (B, A) and
+(A, B) → (A, A ⊕ B), so the small orbits are the classes of nodes these
+join.  At n = 3 a code x is the pair (x, 0).  Direction permutations
+normalise the small group, so the large orbits are the classes of small
+orbits joined by adjacent transpositions.  A class's least node holds its
+canonical form.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
-
-import numpy as np
 
 from .arrays import ArrayCode, Shape, UnsupportedShapeError
 from .stratify import RankTable, Semiring, _cube_generators
@@ -117,103 +116,155 @@ class OrbitSplit:
 # actions over the whole code space (n = 3, 4)
 # ---------------------------------------------------------------------------
 
-def _require_enumerable(shape: Shape) -> None:
-    if shape.n not in (3, 4):
-        raise UnsupportedShapeError(
-            f"orbit expansion supports dimensions 3 and 4, got {shape.n}"
-        )
-
-
-def _linear_table(images: list[int]) -> np.ndarray:
+def _linear_table(images: list[int]) -> tuple[int, ...]:
     # Every generator is linear over F2, so the image of a code is the xor of
-    # images[b] over its set bits b.  Split into halves, code = hi << k | lo
-    # maps to table_hi[hi] ^ table_lo[lo]: one xor-outer product.
-    halves = []
-    for part in (images[len(images) // 2:], images[:len(images) // 2]):
-        half = np.zeros(1, dtype=np.uint32)
-        for image in part:
-            half = np.concatenate((half, half ^ image))
-        halves.append(half)
-    out = np.bitwise_xor.outer(*halves).ravel()
+    # images[b] over its set bits b: double the table once per code bit.
+    table = [0]
+    for image in images:
+        table += [t ^ image for t in table]
+    return tuple(table)
+
+
+def _axis_images(g: GroupElement, direction: int, n: int) -> list[int]:
+    # code bit b holds an entry at subscript 1 along the direction iff b & s;
+    # the entry at subscript 2 of the same line is then bit b - s
+    s = 1 << (n - direction)
+    (g11, g12), (g21, g22) = g.rows
+    return [g11 << b | g21 << (b - s) if b & s else g12 << (b + s) | g22 << b
+            for b in range(1 << n)]
+
+
+def _array(images: list[int]):
+    import numpy as np
+    out = np.array(_linear_table(images), dtype=np.uint32)
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
-def axis_action_table(g: GroupElement, direction: int, n: int) -> np.ndarray:
-    """Image of every code under one matrix acting along one direction."""
-    # code bit b holds an entry at subscript 1 along the direction iff b & s;
-    # the entry at subscript 2 of the same line is then bit b - s
-    s = 1 << (n - direction)
-    (g11, g12), (g21, g22) = g.rows
-    return _linear_table([
-        g11 << b | g21 << (b - s) if b & s else g12 << (b + s) | g22 << b
-        for b in range(1 << n)
-    ])
+def axis_action_table(g: GroupElement, direction: int, n: int):
+    """Image of every code under one matrix acting along one direction, as a
+    read-only numpy array; numpy is imported here, as only tests use it."""
+    return _array(_axis_images(g, direction, n))
 
 
 @lru_cache(maxsize=None)
-def permutation_action_table(p: AxisPermutation, n: int) -> np.ndarray:
-    """Image of every code under one direction permutation."""
+def permutation_action_table(p: AxisPermutation, n: int):
+    """Image of every code under one direction permutation, as a read-only
+    numpy array; numpy is imported here, as only tests use it."""
     # the cell at code bit b moves to the cell whose subscript along p[j-1]
     # is its subscript along j
-    return _linear_table([
-        1 << sum(((b >> (n - j)) & 1) << (n - p.perm[j - 1]) for j in range(1, n + 1))
-        for b in range(1 << n)
-    ])
+    return _array([1 << sum((b >> (n - j) & 1) << (n - q) for j, q in enumerate(p.perm, 1))
+                   for b in range(1 << n)])
 
 
 @lru_cache(maxsize=None)
-def _cube_tables(n: int) -> tuple[np.ndarray, ...]:
-    # the slice swaps, then the transpositions of adjacent directions
-    return tuple(_linear_table([1 << c for c in images]) for images in _cube_generators(n))
+def _slices() -> tuple[dict, dict, dict, dict]:
+    """G3's orbits on the n = 3 codes: per code, its orbit minimum P and
+    elements taking it to P and back; per P, its stabiliser.
 
-
-def _min_steps(labels: np.ndarray, steps, transpositions=()) -> np.ndarray:
-    # labels = minimum(labels, labels[t]) in place along the steps, then along
-    # the bubble sequence of the transpositions
-    bubble = (transpositions[j] for i in range(len(transpositions)) for j in range(i, -1, -1))
-    for t in [*steps, *bubble]:
-        np.minimum(labels, labels.take(t), out=labels)
-    labels.flags.writeable = False
-    return labels
-
-
-@lru_cache(maxsize=None)
-def _generator_tables(n: int, group: str) -> tuple[np.ndarray, ...]:
-    # swap and rot per direction, then the transpositions; the swap is the
-    # slice swap, so the swaps and transpositions are the cube's generators
-    cube = _cube_tables(n)
-    rots = [axis_action_table(GL2_GENERATORS[1], d, n) for d in range(1, n + 1)]
-    tables = tuple(t for swap_rot in zip(cube[:n], rots) for t in swap_rot)
-    return tables if group == "small" else tables + cube[n:]
-
-
-@lru_cache(maxsize=None)
-def _orbit_labels(n: int, group: str) -> np.ndarray:
-    tables = _generator_tables(n, group)
-    if group == "small":
-        steps = [t for swap, rot in zip(tables[0::2], tables[1::2]) for t in (swap, rot, rot)]
-        return _min_steps(np.arange(1 << (1 << n), dtype=np.uint32), steps)
-    return _min_steps(_orbit_labels(n, "small").copy(), (), tables[2 * n:])
-
-
-def orbit_labels(shape: Shape, group: GroupKind) -> np.ndarray:
-    """Read-only array mapping every code to the minimal member of its orbit.
-
-    One pass of min-steps whose pairs {e, s} multiply out to the whole group
-    (see the module docstring) makes each label the minimum of its orbit.
+    An element is its table of 256 bytes, so t∘u is u.translate(t).  Element
+    36i + 6j + k is GL2_F2[i], [j] and [k] along directions 1, 2 and 3, and
+    its inverse is the element of the factors' inverses, since
+    ((a, b), (c, d)) has inverse ((d, b), (c, a)) mod 2.
     """
+    d1, d2, d3 = ([bytes(_linear_table(_axis_images(g, d, 3))) for g in GL2_F2]
+                  for d in (1, 2, 3))
+    elements = [w.translate(v).translate(u) for u in d1 for v in d2 for w in d3]
+    inv = [GL2_F2.index(GroupElement(((d, b), (c, a)))) for (a, b), (c, d) in
+           (g.rows for g in GL2_F2)]
+    inverses = [elements[36 * inv[i] + 6 * inv[j] + inv[k]]
+                for i, j, k in itertools.product(range(6), repeat=3)]
+    least, to_least, from_least, stabilisers = {}, {}, {}, {}
+    for p in range(256):
+        if p not in least:
+            stabilisers[p] = [g for g in elements if g[p] == p]
+            for g, g_inverse in zip(elements, inverses):
+                if g[p] not in least:
+                    least[g[p]], from_least[g[p]], to_least[g[p]] = p, g, g_inverse
+    return least, to_least, from_least, stabilisers
+
+
+class _Orbits:
+    """Small and large orbits of every code of one dimension (n = 3, 4):
+    nodes[i] is node i's least code and size, canonical[group][i] its orbit's
+    canonical form, and sizes[group] maps canonical forms to orbit sizes."""
+
+    def __init__(self, n: int):
+        self.least, self.to_least, self.from_least, stabilisers = _slices()
+        self.shift = 8 if n == 4 else 0
+        self.nodes: list[tuple[int, int]] = []
+        self.node_of: dict[int, dict[int, int]] = {}
+        for p, stab in stabilisers.items():
+            ids = self.node_of[p] = {}
+            for b in range(1 << self.shift):
+                if b not in ids:
+                    orbit = {s[b] for s in stab}
+                    ids.update(dict.fromkeys(orbit, len(self.nodes)))
+                    self.nodes.append((p << self.shift | b, 216 // len(stab) * len(orbit)))
+        parent = list(range(len(self.nodes)))
+        moves = [lambda x: (x & 255) << 8 | x >> 8, lambda x: x ^ x >> 8] if n == 4 else []
+        small = self._merge(parent, range(len(parent)), moves)
+        swaps = [lambda x, c=c: sum(1 << c[b] for b in range(1 << n) if x >> b & 1)
+                 for c in _cube_generators(n)[n:]]
+        roots = {"small": small, "large": self._merge(parent, set(small), swaps)}
+        self.canonical = {g: [self.nodes[r][0] for r in rs] for g, rs in roots.items()}
+        self.sizes = {g: Counter() for g in roots}
+        for g, codes in self.canonical.items():
+            for (_, size), code in zip(self.nodes, codes):
+                self.sizes[g][code] += size
+
+    def _merge(self, parent: list[int], reps, moves) -> list[int]:
+        # join the class of each node in reps with that of each move of its
+        # least code; a class's root is its least node
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+        for i in reps:
+            for move in moves:
+                a, b = find(i), find(self.node(move(self.nodes[i][0])))
+                parent[max(a, b)] = min(a, b)
+        return [find(i) for i in range(len(parent))]
+
+    def node(self, x: int) -> int:
+        a, b = x >> self.shift, x & (1 << self.shift) - 1
+        return self.node_of[self.least[a]][self.to_least[a][b]]
+
+    def canon(self, x: int, group: str) -> int:
+        return self.canonical[group][self.node(x)]
+
+    def members(self, x: int, group: str) -> list[int]:
+        # per slice minimum P, the B of the orbit's nodes at A = P, carried to
+        # each other A of P's G3-orbit by the element taking P there
+        canonical, code = self.canonical[group], self.canon(x, group)
+        slices = {p: [b for b, i in ids.items() if canonical[i] == code]
+                  for p, ids in self.node_of.items()}
+        return sorted(a << self.shift | self.from_least[a][b]
+                      for a in range(256) for b in slices[self.least[a]])
+
+
+_orbits = lru_cache(maxsize=None)(_Orbits)
+
+
+def _orbits_of(shape: Shape, group: str) -> _Orbits:
     if group not in ("small", "large"):
         raise ValueError(f"group must be 'small' or 'large', got {group!r}")
-    _require_enumerable(shape)
-    return _orbit_labels(shape.n, group)
+    if shape.n not in (3, 4):
+        raise UnsupportedShapeError(
+            f"orbit expansion supports dimensions 3 and 4, got {shape.n}")
+    return _orbits(shape.n)
+
+
+def canonical_form(a: ArrayCode, group: GroupKind) -> tuple[ArrayCode, int]:
+    """The minimal member of a code's orbit, and the orbit's size."""
+    code = _orbits_of(a.shape, group).canon(a.code, group)
+    return ArrayCode(code, a.shape), _orbits(a.shape.n).sizes[group][code]
 
 
 def _orbit(a: ArrayCode, group: GroupKind) -> tuple[ArrayCode, ...]:
-    labels = orbit_labels(a.shape, group)
-    codes = np.flatnonzero(labels == labels[a.code])
-    return tuple(ArrayCode(int(c), a.shape) for c in codes)
+    members = _orbits_of(a.shape, group).members(a.code, group)
+    return tuple(ArrayCode(c, a.shape) for c in members)
 
 
 def small_orbit(a: ArrayCode) -> tuple[ArrayCode, ...]:
@@ -238,22 +289,15 @@ def _require_field(table: RankTable) -> None:
         )
 
 
-def _canonical_codes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # orbit minima (the codes that are their own label), ascending, and sizes
-    canon = np.flatnonzero(labels == np.arange(labels.size))
-    return canon, np.bincount(labels, minlength=labels.size)[canon]
-
-
 def classify(table: RankTable, group: GroupKind) -> tuple[OrbitRecord, ...]:
     """Orbit records sorted by (rank, canonical).
 
     The canonical form of an orbit is its numerically minimal member.
     """
     _require_field(table)
-    canon, sizes = _canonical_codes(orbit_labels(table.shape, group))
     rows = sorted(
         (table.rank_of_code(code), code, size)
-        for code, size in zip(canon.tolist(), sizes.tolist())
+        for code, size in _orbits_of(table.shape, group).sizes[group].items()
     )
     records = []
     for rank, code, size in rows:
@@ -270,11 +314,10 @@ def orbit_split(table: RankTable) -> tuple[OrbitSplit, ...]:
     of an entry multiply and sum back to the large orbit's size.
     """
     large_records = classify(table, "large")
-    large_labels = orbit_labels(table.shape, "large")
-    small_canon, small_sizes = _canonical_codes(orbit_labels(table.shape, "small"))
+    orbits = _orbits(table.shape.n)
     parts: dict[int, Counter] = {rec.canonical.code: Counter() for rec in large_records}
-    for code, size in zip(small_canon.tolist(), small_sizes.tolist()):
-        parts[int(large_labels[code])][size] += 1
+    for code, size in orbits.sizes["small"].items():
+        parts[orbits.canon(code, "large")][size] += 1
     return tuple(
         OrbitSplit(
             index=i + 1,

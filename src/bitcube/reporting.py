@@ -183,15 +183,14 @@ def split_table(splits: Sequence[OrbitSplit], n: int) -> Table:
 
 def rank2_small_split(flat: bool = False) -> Table:
     """The three small orbits inside the rank-2 size-54 large orbit (n=3)."""
-    from .groups import classify, orbit_labels
+    from .groups import canonical_form, classify
     table = stratify(Shape(3), Semiring.GF2)
     big = next(
         rec for rec in classify(table, "large") if rec.rank == 2 and rec.size == 54
     )
-    large_labels = orbit_labels(table.shape, "large")
     members = [
         rec for rec in classify(table, "small")
-        if large_labels[rec.canonical.code] == big.canonical.code
+        if canonical_form(rec.canonical, "large")[0] == big.canonical
     ]
     return Table(
         "small-split-3",

@@ -25,8 +25,10 @@ that group.  The group permutes cells, so it maps rank-1 arrays to rank-1
 arrays and commutes with xor and or: every level is a union of orbits, and
 g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.  The closure
 takes S = S | g(S) along the slice swaps, then along the bubble sequence
-t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions, whose pairs
-{e, g} multiply out to the whole group (see bitcube.groups).
+t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions.  A step along g
+turns the images under a set A of elements into those under A·{e, g}, and
+these products give all sets of slice swaps, then a transversal of S_k in
+S_(k+1) for each k in turn: the whole group.
 """
 
 from __future__ import annotations

@@ -15,22 +15,21 @@ from bitcube import (
     Shape,
     UnsupportedShapeError,
     all_axis_permutations,
+    canonical_form,
     classify,
     large_orbit,
-    orbit_labels,
     orbit_split,
     small_orbit,
 )
 from bitcube.groups import (
-    _cube_tables,
-    _generator_tables,
-    _orbit_labels,
+    _linear_table,
+    _orbits,
     axis_action_table,
     permutation_action_table,
 )
-from bitcube.stratify import _cube_closure
+from bitcube.stratify import _cube_closure, _cube_generators
 
-from conftest import SAMPLE_SEED
+from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import (
     OrbitMinima,
     act_axis,
@@ -232,19 +231,17 @@ def test_breadth_first_closure_equals_full_expansion_n4():
 
 
 def test_labels_equal_oracle_orbit_minima_exhaustive_n3():
-    oracle = OrbitMinima(3)
-    small, large = orbit_labels(S3, "small"), orbit_labels(S3, "large")
+    oracle, orbits = OrbitMinima(3), _orbits(3)
     for code in range(256):
-        assert int(small[code]) == oracle.small(code)
-        assert int(large[code]) == oracle.large(code)
+        assert orbits.canon(code, "small") == oracle.small(code)
+        assert orbits.canon(code, "large") == oracle.large(code)
 
 
 def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
-    oracle = OrbitMinima(4)
-    small, large = orbit_labels(S4, "small"), orbit_labels(S4, "large")
+    oracle, orbits = OrbitMinima(4), _orbits(4)
     for code in sample_codes_4:
-        assert int(small[code]) == oracle.small(code)
-        assert int(large[code]) == oracle.large(code)
+        assert orbits.canon(code, "small") == oracle.small(code)
+        assert orbits.canon(code, "large") == oracle.large(code)
 
 
 def _cube_closure_labels(n):
@@ -264,12 +261,17 @@ def _cube_closure_labels(n):
 @pytest.mark.parametrize("n", (3, 4))
 @pytest.mark.parametrize("group", ("small", "large", "cube"))
 def test_labels_are_orbit_invariant_idempotent_minima(n, group):
-    # over the whole code space: constant along every generator, a label is
-    # its own label, and no label exceeds its code
+    # over the whole code space, with each code labelled by its canonical
+    # form: constant along every generator, a label is its own label, and no
+    # label exceeds its code
+    tables = cube_tables(n)
     if group == "cube":
-        labels, tables = _cube_closure_labels(n), _cube_tables(n)
+        labels = _cube_closure_labels(n)
     else:
-        labels, tables = _orbit_labels(n, group), _generator_tables(n, group)
+        orbits = _orbits(n)
+        labels = np.array([orbits.canon(c, group) for c in range(Shape(n).code_count)])
+        rots = [axis_action_table(GL2_GENERATORS[1], d, n) for d in range(1, n + 1)]
+        tables = tables[:n] + rots + (tables[n:] if group == "large" else [])
     for t in tables:
         assert np.array_equal(labels[t], labels)
     assert np.array_equal(labels[labels], labels)
@@ -280,28 +282,24 @@ def test_labels_are_orbit_invariant_idempotent_minima(n, group):
 def test_cube_tables_equal_action_tables(n):
     # the n-cube's generators, built as cell permutations, against the
     # matrix and direction-permutation builders: the slice swap is GL2_F2[0]
-    tables = _cube_tables(n)
-    for d in range(1, n + 1):
-        assert np.array_equal(tables[d - 1], axis_action_table(GL2_F2[0], d, n))
-    for j in range(1, n):
-        perm = list(range(1, n + 1))
-        perm[j - 1], perm[j] = perm[j], perm[j - 1]
-        table = permutation_action_table(AxisPermutation(tuple(perm)), n)
-        assert np.array_equal(tables[n + j - 1], table)
+    for images, table in zip(_cube_generators(n), cube_tables(n), strict=True):
+        assert _linear_table([1 << c for c in images]) == tuple(table.tolist())
 
 
-def test_orbit_labels_read_only_and_dimension_checked():
-    labels = orbit_labels(S4, "large")
+def test_action_tables_read_only_and_orbits_dimension_checked():
+    table = axis_action_table(GL2_F2[1], 2, 4)
     with pytest.raises(ValueError):
-        labels[0] = 1
-    with pytest.raises(UnsupportedShapeError):
-        orbit_labels(Shape(5), "small")
+        table[0] = 1
+    a = ArrayCode(0, Shape(5))
+    for call in (small_orbit, large_orbit, lambda a: canonical_form(a, "small")):
+        with pytest.raises(UnsupportedShapeError):
+            call(a)
 
 
 def test_unknown_group_kind_rejected(tables):
     for group in ("bogus", "cube", "Small"):
         with pytest.raises(ValueError):
-            orbit_labels(S3, group)
+            canonical_form(ArrayCode(0, S3), group)
         with pytest.raises(ValueError):
             classify(tables[(3, "gf2")], group)
 
@@ -384,16 +382,41 @@ def test_canonical_fields_consistent(tables):
 
 
 def test_canonical_is_minimal_orbit_member(tables):
+    # every code's canonical form and orbit size are its record's, and the
+    # first code of each orbit is its canonical form
     for n in (3, 4):
         for group in ("small", "large"):
             records = classify(tables[(n, "gf2")], group)
-            labels = orbit_labels(Shape(n), group)
             index = {rec.canonical.code: i for i, rec in enumerate(records)}
             first_seen = {}
-            for code, label in enumerate(labels.tolist()):
-                first_seen.setdefault(index[label], code)
+            for code in range(Shape(n).code_count):
+                canonical, size = canonical_form(ArrayCode(code, Shape(n)), group)
+                assert size == records[index[canonical.code]].size
+                first_seen.setdefault(index[canonical.code], code)
             for i, rec in enumerate(records):
                 assert first_seen[i] == rec.canonical.code
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("group", ("small", "large"))
+def test_stabiliser_times_orbit_size_is_group_order(tables, n, group):
+    # the image of each canonical form under every group element, one row
+    # per element: a matrix along each direction, then a direction permutation
+    records = classify(tables[(n, "gf2")], group)
+    images = np.array([[rec.canonical.code for rec in records]])
+    for d in range(1, n + 1):
+        images = np.concatenate([axis_action_table(g, d, n)[images] for g in GL2_F2])
+    if group == "large":
+        images = np.concatenate(
+            [permutation_action_table(p, n)[images] for p in all_axis_permutations(n)]
+        )
+    order = 6**n * (math.factorial(n) if group == "large" else 1)
+    assert images.shape == (order, len(records))
+    for rec, column in zip(records, images.T):
+        stabiliser = int((column == rec.canonical.code).sum())
+        assert stabiliser * rec.size == order
+        assert len(set(column.tolist())) == rec.size
+        assert int(column.min()) == rec.canonical.code
 
 
 def test_rank_invariance_under_all_group_elements(tables):

@@ -6,6 +6,7 @@ module on its first import, so the listing is the set of modules a command
 loaded beyond the interpreter's own start-up.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,15 @@ import pytest
 import bitcube
 
 SRC = str(Path(bitcube.__file__).resolve().parents[1])
+
+# commands that use the orbits, with their exit codes
+ORBIT_COMMANDS = [
+    (["verify", "--scope", "all"], 0),
+    (["tables", "--kind", "all", "--format", "json"], 0),
+    (["classify", "--n", "4", "--group", "small"], 0),
+    (["split", "--n", "4"], 0),
+    (["rank", "--n", "4", "--semiring", "gf2", "--group", "large", "0110101110111101"], 0),
+]
 
 
 def _env(tmp_path):
@@ -50,12 +60,43 @@ def loaded_modules(tmp_path, *argv):
         (["rank", "--n", "4", "--semiring", "bool", "0110100110010110"], 0),
         (["enumerate", "--n", "4", "--semiring", "gf2"], 0),
         (["export", "--n", "4", "--semiring", "nat"], 0),
+        *ORBIT_COMMANDS,
     ],
 )
 def test_commands_without_arrays_load_no_numpy(tmp_path, argv, exit_code):
     code, modules = loaded_modules(tmp_path, *argv)
     assert code == exit_code
     assert "numpy" not in modules
+
+
+def test_orbit_commands_run_where_numpy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes `import numpy` raise ImportError
+    script = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from bitcube.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+    commands = [argv for argv, _ in ORBIT_COMMANDS]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    blocked = json.loads(proc.stdout)
+    for (argv, exit_code), (code, stdout) in zip(ORBIT_COMMANDS, blocked, strict=True):
+        plain = subprocess.run(
+            [sys.executable, "-m", "bitcube", *argv],
+            capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+        )
+        assert (code, stdout) == (plain.returncode, plain.stdout), argv
+        assert code == exit_code
 
 
 def test_rank_loads_only_what_it_runs(tmp_path):
@@ -72,9 +113,10 @@ def test_rank_loads_only_what_it_runs(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 @pytest.mark.parametrize("preset", (None, "2"))
 def test_cli_runs_blas_single_threaded_unless_told_otherwise(tmp_path, preset):
-    # numpy's OpenBLAS starts a worker per extra core at import; no command
-    # calls BLAS, so the entry point asks for one thread.  A value the user
-    # set is left alone.  `rank --group` loads numpy for the orbit labels.
+    # numpy's OpenBLAS would start a worker per extra core at import.  No
+    # command loads numpy, not even `rank --group`, so the process keeps one
+    # thread whatever OPENBLAS_NUM_THREADS says, and the entry point leaves
+    # the variable as the user set it, or unset.
     script = """
 import os, sys
 from bitcube.cli import entrypoint
@@ -85,7 +127,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
-      os.environ["OPENBLAS_NUM_THREADS"])
+      os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
 """
     env = _env(tmp_path)
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -97,12 +139,7 @@ print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
     assert proc.returncode == 0, proc.stderr[-2000:]
     *printed, last = proc.stdout.splitlines()
     assert printed == ["6", "canonical: 0110101110111101", "orbit-size: 24"]
-    code, numpy_loaded, threads, value = last.split()
-    assert (code, numpy_loaded) == ("0", "True")
-    if preset is None:
-        assert (threads, value) == ("1", "1")
-    else:
-        assert value == preset
+    assert last.split() == ["0", "False", "1", preset or "unset"]
 
 
 def test_verify_loads_no_cache(tmp_path):

@@ -14,9 +14,8 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.groups import _cube_tables
 from bitcube.stratify import _cube_closure, percent_text
-from conftest import SAMPLE_SEED
+from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import OrbitMinima
 from rank_oracle import closure_ranks
 
@@ -91,7 +90,7 @@ def test_rank_of_code_equals_unreduced_closure(tables, closure, sample_codes_4):
 def test_ranks_invariant_under_cube_generators(closure):
     # the premise of expanding one code per orbit of the cube's symmetries
     for (n, _), ref in closure.items():
-        for t in _cube_tables(n):
+        for t in cube_tables(n):
             assert np.array_equal(ref[t], ref)
 
 
