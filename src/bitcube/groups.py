@@ -11,15 +11,15 @@ slice by slice, as in stabiliser chains (Holt, Eick and O'Brien, Handbook
 of Computational Group Theory, ch. 4).  G3 = GL2_F2**3 acts on the n = 3
 codes as 216 tables.  An n = 4 code is x = A·2**8 + B, its slices at
 subscripts 1 and 2 along direction 1, and G3 acts on both alike.  A node
-(P, Q), with P a G3-orbit minimum, is the G3-orbit of the pairs (gP, gB)
-with B in the orbit of Q under P's stabiliser; its least code is
-P·2**8 + min Q.  The matrices along direction 1, (A, B) → (g11 A ⊕ g12 B,
-g21 A ⊕ g22 B), commute with G3 and are generated by (A, B) → (B, A) and
-(A, B) → (A, A ⊕ B), so the small orbits are the classes of nodes these
-join.  At n = 3 a code x is the pair (x, 0).  Direction permutations
-normalise the small group, so the large orbits are the classes of small
-orbits joined by adjacent transpositions.  A class's least node holds its
-canonical form.
+(P, Q), with P a G3-orbit minimum and Q least in its orbit under P's
+stabiliser, is the G3-orbit of the pairs (gP, gB) with B in that orbit;
+its least code is P·2**8 + Q.  The matrices along direction 1,
+(A, B) → (g11 A ⊕ g12 B, g21 A ⊕ g22 B), commute with G3 and are
+generated by (A, B) → (B, A) and (A, B) → (A, A ⊕ B), so the small orbits
+are the classes of nodes these join.  At n = 3 a code x is the pair
+(x, 0).  Direction permutations normalise the small group, so the large
+orbits are the classes of small orbits joined by adjacent transpositions.
+A class's least node holds its canonical form.
 """
 
 from __future__ import annotations
