@@ -194,19 +194,22 @@ def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     return tuple(sorted(codes))
 
 
+def _mat_rows(a: ArrayCode) -> list[str]:
+    # row i of the block display without its brackets: "x_i11 x_i21 | x_i12 x_i22"
+    if a.shape.n != 3:
+        raise UnsupportedShapeError(
+            f"matrix display is defined for dimension 3 only, got {a.shape.n}"
+        )
+    return [
+        f"{a.bit((i, 1, 1))} {a.bit((i, 2, 1))} | {a.bit((i, 1, 2))} {a.bit((i, 2, 2))}"
+        for i in (1, 2)
+    ]
+
+
 def render_mat(a: ArrayCode) -> str:
     """2 x 4 block display of a 3-dimensional array.
 
     Row i is [x_i11 x_i21 | x_i12 x_i22]: the third subscript selects the
     left or right block (the two frontal slices).
     """
-    if a.shape.n != 3:
-        raise UnsupportedShapeError(
-            f"matrix display is defined for dimension 3 only, got {a.shape.n}"
-        )
-    rows = []
-    for i in (1, 2):
-        left = f"{a.bit((i, 1, 1))} {a.bit((i, 2, 1))}"
-        right = f"{a.bit((i, 1, 2))} {a.bit((i, 2, 2))}"
-        rows.append(f"[ {left} | {right} ]")
-    return "\n".join(rows)
+    return "\n".join(f"[ {row} ]" for row in _mat_rows(a))

@@ -6,6 +6,11 @@ memoises them) and reads or writes no file; its output is a pure function
 of its arguments and the embedded reference dataset.  Exit codes:
 0 success, 1 verification mismatch, 2 usage error.
 
+`enumerate`, `bounds`, `tables` and `split` in md, csv or json print table
+kinds through `reporting.emit_table`, so `enumerate --n 4 --semiring nat`
+and `tables --kind strata-4-nat` print the same bytes from the same code.
+`classify` renders its orbit table with `reporting.render_table`.
+
 Each command imports only the modules it runs: the symmetry groups and the
 reference dataset are imported inside the commands that need them.  No
 command loads numpy.
@@ -19,18 +24,18 @@ from typing import Optional, Sequence
 
 from .arrays import ArrayCode, Shape
 from .reporting import (
+    FORMATS,
     TABLE_KINDS,
-    bounds_table,
-    distribution_table,
     emit_all_tables,
     emit_table,
     orbit_records_table,
     render_table,
     split_rule,
-    split_table,
     verify_all,
 )
 from .stratify import Semiring, rank_of, stratify
+
+_SEMIRINGS = [s.value for s in Semiring]
 
 
 class UsageError(Exception):
@@ -50,8 +55,7 @@ def _require_field_for_group(semiring: Semiring) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    table = stratify(Shape(args.n), _semiring(args))
-    print(render_table(distribution_table(table, args.format), args.format), end="")
+    print(emit_table(f"strata-{args.n}-{args.semiring}", args.format), end="")
     return 0
 
 
@@ -88,19 +92,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    if args.format != "text":
+        print(emit_table(f"split-{args.n}", args.format), end="")
+        return 0
     from .groups import orbit_split
-    table = stratify(Shape(args.n), Semiring.GF2)
-    splits = orbit_split(table)
-    if args.format == "text":
-        for s in splits:
-            print(split_rule(s))
-    else:
-        print(render_table(split_table(splits, args.n), args.format), end="")
+    for s in orbit_split(stratify(Shape(args.n), Semiring.GF2)):
+        print(split_rule(s))
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    print(render_table(bounds_table(), args.format), end="")
+    print(emit_table("lower-bounds", args.format), end="")
     return 0
 
 
@@ -137,10 +139,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _add_format_option(parser: argparse.ArgumentParser, choices, default) -> None:
-    parser.add_argument("--format", choices=choices, default=default)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitcube",
@@ -151,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="rank distribution of one shape/semiring")
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--semiring", choices=("gf2", "bool", "nat"), required=True)
-    _add_format_option(p, ("md", "csv", "json"), "md")
+    p.add_argument("--semiring", choices=_SEMIRINGS, required=True)
+    p.add_argument("--format", choices=FORMATS, default="md")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("rank", help="rank of one array given as a 0/1 string")
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--semiring", choices=("gf2", "bool", "nat"), required=True)
+    p.add_argument("--semiring", choices=_SEMIRINGS, required=True)
     p.add_argument("--group", choices=("small", "large"))
     p.add_argument(
         "array",
@@ -169,31 +167,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="orbit classification over the field")
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
     p.add_argument("--group", choices=("small", "large"), required=True)
-    p.add_argument("--semiring", choices=("gf2", "bool", "nat"), default="gf2")
+    p.add_argument("--semiring", choices=_SEMIRINGS, default="gf2")
     p.add_argument("--flat", action="store_true", help="flattened canonical forms")
-    _add_format_option(p, ("md", "csv", "json"), "md")
+    p.add_argument("--format", choices=FORMATS, default="md")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("split", help="large-to-small orbit splitting report")
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    _add_format_option(p, ("text", "md", "csv", "json"), "text")
+    p.add_argument("--format", choices=("text",) + FORMATS, default="text")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("bounds", help="orbit-count lower bounds for n = 3..6")
-    _add_format_option(p, ("md", "csv", "json"), "md")
+    p.add_argument("--format", choices=FORMATS, default="md")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser(
         "export", help="dump one stratification as structured text"
     )
     p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--semiring", choices=("gf2", "bool", "nat"), required=True)
+    p.add_argument("--semiring", choices=_SEMIRINGS, required=True)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("tables", help="emit reference tables")
     p.add_argument("--kind", choices=TABLE_KINDS + ("all",), default="all")
     p.add_argument("--flat", action="store_true", help="flattened forms everywhere")
-    _add_format_option(p, ("md", "csv", "json"), "md")
+    p.add_argument("--format", choices=FORMATS, default="md")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="check every computed value against the dataset")

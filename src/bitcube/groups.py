@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .arrays import ArrayCode, Shape, UnsupportedShapeError
-from .stratify import RankTable, Semiring, _cube_generators
+from .stratify import RankTable, Semiring, _cube_generators, _permuted_cells
 
 GroupKind = Literal["small", "large"]
 
@@ -152,10 +152,7 @@ def axis_action_table(g: GroupElement, direction: int, n: int):
 def permutation_action_table(p: AxisPermutation, n: int):
     """Image of every code under one direction permutation, as a read-only
     numpy array; numpy is imported here, as only tests use it."""
-    # the cell at code bit b moves to the cell whose subscript along p[j-1]
-    # is its subscript along j
-    return _array([1 << sum((b >> (n - j) & 1) << (n - q) for j, q in enumerate(p.perm, 1))
-                   for b in range(1 << n)])
+    return _array([1 << c for c in _permuted_cells(p.perm, n)])
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,11 @@
 """Lower bounds, rank/ones partitions, table emission and verification.
 
+Every table reaches text the same way: `build_table` assembles a table
+kind (see TABLE_KINDS) as a `Table` and `render_table` renders it as
+Markdown, CSV or JSON.  The commands `enumerate`, `split`, `bounds` and
+`tables` print table kinds; `classify` builds its orbit table with
+`orbit_records_table` and renders it likewise.
+
 Table emission is deterministic: a given (kind, format) pair always yields
 byte-identical text.  Verification recomputes every classification from
 scratch and compares it against the embedded reference dataset; a mismatch
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .arrays import ArrayCode, Shape, render_mat
+from .arrays import ArrayCode, Shape, _mat_rows
 from .stratify import RankTable, Semiring, rank_distribution, stratify
 
 # groups, expected, csv and json are imported by the functions that use
@@ -85,8 +91,6 @@ class Table:
     rows: tuple[tuple[Cell, ...], ...]
 
 
-FORMATS = ("md", "csv", "json")
-
 #: Emission order of `emit_all_tables` and the CLI's --kind all.
 TABLE_KINDS = (
     "strata-3-gf2",
@@ -109,8 +113,7 @@ TABLE_KINDS = (
 
 def mat_compact(a: ArrayCode) -> str:
     """One-line form of the 2 x 4 block display, rows joined by ' / '."""
-    rows = render_mat(a).splitlines()
-    return "[" + " / ".join(r.strip("[] ") for r in rows) + "]"
+    return "[" + " / ".join(_mat_rows(a)) + "]"
 
 
 def _canon_cell(a: ArrayCode, flat: bool) -> str:
@@ -137,16 +140,17 @@ def distribution_table(table: RankTable, fmt: str = "md") -> Table:
 
 
 def orbit_records_table(
-    records: Sequence[OrbitRecord], name: str, flat: bool = False
+    records: Sequence[OrbitRecord], name: str, flat: bool = False, ones: bool = True
 ) -> Table:
-    return Table(
-        name,
-        ("orbit", "rank", "size", "ones", "canonical"),
-        tuple(
-            (i + 1, rec.rank, rec.size, rec.ones, _canon_cell(rec.canonical, flat))
-            for i, rec in enumerate(records)
-        ),
+    """One row per orbit; the paper's tables 1 and 3 have no ones column."""
+    columns = ("orbit", "rank", "size", "ones", "canonical")
+    rows = tuple(
+        (i + 1, rec.rank, rec.size, rec.ones, _canon_cell(rec.canonical, flat))
+        for i, rec in enumerate(records)
     )
+    if not ones:
+        columns, rows = columns[:3] + columns[4:], tuple(r[:3] + r[4:] for r in rows)
+    return Table(name, columns, rows)
 
 
 def partition_table(table: RankTable, name: str, flat: bool = False) -> Table:
@@ -162,23 +166,13 @@ def partition_table(table: RankTable, name: str, flat: bool = False) -> Table:
     )
 
 
+def _split_parts(split: OrbitSplit) -> str:
+    return " + ".join(f"{count}·{size}" for count, size in split.parts)
+
+
 def split_rule(split: OrbitSplit) -> str:
     """'x → y·z' line for one large orbit."""
-    return f"{split.index} → " + " + ".join(
-        f"{count}·{size}" for count, size in split.parts
-    )
-
-
-def split_table(splits: Sequence[OrbitSplit], n: int) -> Table:
-    return Table(
-        f"split-{n}",
-        ("orbit", "rank", "size", "small orbits"),
-        tuple(
-            (s.index, s.rank, s.size,
-             " + ".join(f"{count}·{size}" for count, size in s.parts))
-            for s in splits
-        ),
-    )
+    return f"{split.index} → {_split_parts(split)}"
 
 
 def rank2_small_split(flat: bool = False) -> Table:
@@ -199,38 +193,18 @@ def rank2_small_split(flat: bool = False) -> Table:
     )
 
 
-def bounds_table() -> Table:
-    return Table(
-        "lower-bounds",
-        ("n", "small group", "large group"),
-        tuple((n,) + lower_bounds(n) for n in range(3, 7)),
-    )
-
-
 def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
     """Assemble one table kind (see TABLE_KINDS)."""
+    if kind not in TABLE_KINDS:
+        raise ValueError(f"unknown table kind {kind!r}")
     if kind.startswith("strata-"):
-        try:
-            _, n_text, tag = kind.split("-")
-            n = int(n_text)
-            semiring = Semiring(tag)
-        except ValueError:
-            raise ValueError(f"unknown table kind {kind!r}") from None
-        if n not in (3, 4):
-            raise ValueError(f"unknown table kind {kind!r}")
-        return distribution_table(stratify(Shape(n), semiring), fmt)
+        _, n, semiring = kind.split("-")
+        return distribution_table(stratify(Shape(int(n)), Semiring(semiring)), fmt)
     if kind in ("table1", "table3"):
         from .groups import classify
         n = 3 if kind == "table1" else 4
         records = classify(stratify(Shape(n), Semiring.GF2), "large")
-        return Table(
-            kind,
-            ("orbit", "rank", "size", "canonical"),
-            tuple(
-                (i + 1, rec.rank, rec.size, _canon_cell(rec.canonical, flat))
-                for i, rec in enumerate(records)
-            ),
-        )
+        return orbit_records_table(records, kind, flat, ones=False)
     if kind in ("table2", "table4", "table5"):
         n, semiring = {
             "table2": (3, Semiring.BOOLEAN),
@@ -240,13 +214,20 @@ def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
         return partition_table(stratify(Shape(n), semiring), kind, flat)
     if kind in ("split-3", "split-4"):
         from .groups import orbit_split
-        n = int(kind[-1])
-        return split_table(orbit_split(stratify(Shape(n), Semiring.GF2)), n)
+        splits = orbit_split(stratify(Shape(int(kind[-1])), Semiring.GF2))
+        return Table(
+            kind,
+            ("orbit", "rank", "size", "small orbits"),
+            tuple((s.index, s.rank, s.size, _split_parts(s)) for s in splits),
+        )
     if kind == "small-split-3":
         return rank2_small_split(flat)
-    if kind == "lower-bounds":
-        return bounds_table()
-    raise ValueError(f"unknown table kind {kind!r}")
+    # the one kind left, lower-bounds
+    return Table(
+        kind,
+        ("n", "small group", "large group"),
+        tuple((n,) + lower_bounds(n) for n in range(3, 7)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +258,22 @@ def _to_csv(table: Table) -> str:
     return buf.getvalue()
 
 
-def _to_json(table: Table) -> str:
+def _json_payload(table: Table) -> dict:
+    return {"name": table.name, "columns": list(table.columns),
+            "rows": [list(row) for row in table.rows]}
+
+
+def _json_text(payload) -> str:
     import json
-    return json.dumps(
-        {"name": table.name, "columns": list(table.columns),
-         "rows": [list(row) for row in table.rows]},
-        ensure_ascii=False,
-        indent=2,
-    ) + "\n"
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def _to_json(table: Table) -> str:
+    return _json_text(_json_payload(table))
 
 
 _RENDERERS = {"md": _to_markdown, "csv": _to_csv, "json": _to_json}
+FORMATS = tuple(_RENDERERS)
 
 
 def render_table(table: Table, fmt: str) -> str:
@@ -304,11 +290,9 @@ def emit_table(kind: str, fmt: str = "md", flat: bool = False) -> str:
 def emit_all_tables(fmt: str = "md", flat: bool = False) -> str:
     """Every table kind in fixed order, as one document."""
     if fmt == "json":
-        import json
-        payload = [
-            json.loads(emit_table(kind, "json", flat)) for kind in TABLE_KINDS
-        ]
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        return _json_text(
+            [_json_payload(build_table(kind, fmt, flat)) for kind in TABLE_KINDS]
+        )
     sections = []
     for kind in TABLE_KINDS:
         body = emit_table(kind, fmt, flat)

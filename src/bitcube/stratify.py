@@ -113,6 +113,14 @@ def rank_of(a: ArrayCode, table: RankTable) -> int:
     return table.rank_of_code(a.code)
 
 
+def _permuted_cells(perm: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The cell map of a direction permutation: per code bit b, the code bit
+    that the cell at b moves to, the cell whose subscript along perm[j - 1]
+    is its subscript along j."""
+    return tuple(sum((b >> (n - j) & 1) << (n - q) for j, q in enumerate(perm, 1))
+                 for b in range(1 << n))
+
+
 @lru_cache(maxsize=None)
 def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
     """The n-cube's generators as cell permutations: images[b] is the code
@@ -123,8 +131,8 @@ def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
     iff bit n - d of b is set.  Every generator is an involution.
     """
     cells = [tuple(b ^ 1 << (n - d) for b in range(1 << n)) for d in range(1, n + 1)]
-    cells += [tuple(b ^ ((b >> (n - j) ^ b >> (n - j - 1)) & 1) * (3 << (n - j - 1))
-                    for b in range(1 << n)) for j in range(1, n)]
+    cells += [_permuted_cells((*range(1, j), j + 1, j, *range(j + 2, n + 1)), n)
+              for j in range(1, n)]
     return tuple(cells)
 
 
