@@ -10,6 +10,8 @@ The names of `cache`, `groups` and `reporting` are imported on first access
 (PEP 562), so that each command loads only the modules it runs.  Those of
 `stratify` are imported eagerly: the function `stratify` shares its name
 with the submodule, which would otherwise shadow it once imported.
+FORMATS and TABLE_KINDS are defined here, where the CLI's parser reads them
+without loading `reporting`.
 """
 
 from importlib import import_module
@@ -37,13 +39,35 @@ from .stratify import (
 
 __version__ = "0.1.0"
 
+#: Text formats of every table: Markdown, CSV and JSON.
+FORMATS = ("md", "csv", "json")
+
+#: Emission order of `emit_all_tables` and the CLI's --kind all.
+TABLE_KINDS = (
+    "strata-3-gf2",
+    "strata-3-bool",
+    "strata-3-nat",
+    "strata-4-gf2",
+    "strata-4-bool",
+    "strata-4-nat",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "split-3",
+    "split-4",
+    "small-split-3",
+    "lower-bounds",
+)
+
 _LAZY = {
     "cache": ("CacheError", "dump_table", "load_table"),
     "groups": ("GL2_F2", "GL2_GENERATORS", "AxisPermutation", "GroupElement",
                "OrbitRecord", "OrbitSplit", "all_axis_permutations", "canonical_form",
                "classify", "large_orbit", "orbit_split", "small_orbit"),
-    "reporting": ("PartitionRow", "TABLE_KINDS", "VerifyReport", "emit_all_tables",
-                  "emit_table", "lower_bounds", "partition_by_ones", "verify_all"),
+    "reporting": ("PartitionRow", "VerifyReport", "emit_all_tables", "emit_table",
+                  "lower_bounds", "partition_by_ones", "verify_all"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

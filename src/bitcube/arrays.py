@@ -12,9 +12,8 @@ smallest code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence, Tuple
+from typing import Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 Vec2 = Tuple[int, int]
 
@@ -30,19 +29,30 @@ class UnsupportedShapeError(ValueError):
     """The dimension is outside the range an operation supports."""
 
 
-@dataclass(frozen=True, order=True)
-class Shape:
+class _Checked:
+    """Base of the namedtuples whose __new__ validates its arguments: _make,
+    and with it _replace, builds through the class, so no route skips it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Shape(_Checked, NamedTuple("Shape", [("n", int)])):
     """Dimension count of a 2 x ... x 2 array (every extent is fixed at 2).
 
     Full enumeration is only feasible for n = 3, 4; dimensions up to 6 are
     accepted so that orbit-count lower bounds can be evaluated.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 3 <= self.n <= 6:
-            raise UnsupportedShapeError(f"dimension must be in 3..6, got {self.n}")
+    def __new__(cls, n: int) -> Shape:
+        if not 3 <= n <= 6:
+            raise UnsupportedShapeError(f"dimension must be in 3..6, got {n}")
+        return tuple.__new__(cls, (n,))
 
     @property
     def m(self) -> int:
@@ -67,18 +77,15 @@ def flat_position(subs: Sequence[int], n: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class ArrayCode:
+class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shape)])):
     """A 0-1 array of 2 x ... x 2 shape packed into an unsigned integer."""
 
-    code: int
-    shape: Shape
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.code < self.shape.code_count:
-            raise ValueError(
-                f"code {self.code} out of range for dimension {self.shape.n}"
-            )
+    def __new__(cls, code: int, shape: Shape) -> ArrayCode:
+        if not 0 <= code < shape.code_count:
+            raise ValueError(f"code {code} out of range for dimension {shape.n}")
+        return tuple.__new__(cls, (code, shape))
 
     # Numeric order on codes is the lexicographic order on linearizations;
     # comparing codes of different shapes is a usage error, not False.

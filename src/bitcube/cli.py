@@ -11,9 +11,11 @@ kinds through `reporting.emit_table`, so `enumerate --n 4 --semiring nat`
 and `tables --kind strata-4-nat` print the same bytes from the same code.
 `classify` renders its orbit table with `reporting.render_table`.
 
-Each command imports only the modules it runs: the symmetry groups and the
-reference dataset are imported inside the commands that need them.  No
-command loads numpy.
+Each command imports only the modules it runs: the symmetry groups, the
+table code in `reporting` and the reference dataset are imported inside the
+commands that need them, so a plain `rank` or `export` loads none of them.
+The parser takes its format and table-kind choices from the package.  No
+command loads numpy or dataclasses.
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape
-from .reporting import (
-    FORMATS,
-    TABLE_KINDS,
-    emit_all_tables,
-    emit_table,
-    orbit_records_table,
-    render_table,
-    split_rule,
-    verify_all,
-)
 from .stratify import Semiring, rank_of, stratify
 
 _SEMIRINGS = [s.value for s in Semiring]
@@ -54,9 +47,14 @@ def _require_field_for_group(semiring: Semiring) -> None:
         )
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    print(emit_table(f"strata-{args.n}-{args.semiring}", args.format), end="")
+def _print_table(kind: str, fmt: str, flat: bool = False) -> int:
+    from .reporting import emit_table
+    print(emit_table(kind, fmt, flat), end="")
     return 0
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    return _print_table(f"strata-{args.n}-{args.semiring}", args.format)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -79,6 +77,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     from .groups import classify
+    from .reporting import orbit_records_table, render_table
     semiring = _semiring(args)
     _require_field_for_group(semiring)
     table = stratify(Shape(args.n), semiring)
@@ -93,17 +92,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     if args.format != "text":
-        print(emit_table(f"split-{args.n}", args.format), end="")
-        return 0
+        return _print_table(f"split-{args.n}", args.format)
     from .groups import orbit_split
+    from .reporting import split_rule
     for s in orbit_split(stratify(Shape(args.n), Semiring.GF2)):
         print(split_rule(s))
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    print(emit_table("lower-bounds", args.format), end="")
-    return 0
+    return _print_table("lower-bounds", args.format)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -125,14 +123,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    if args.kind == "all":
-        print(emit_all_tables(args.format, args.flat), end="")
-    else:
-        print(emit_table(args.kind, args.format, args.flat), end="")
+    if args.kind != "all":
+        return _print_table(args.kind, args.format, args.flat)
+    from .reporting import emit_all_tables
+    print(emit_all_tables(args.format, args.flat), end="")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .reporting import verify_all
     report = verify_all(args.scope)
     for line in report.lines():
         print(line)

@@ -26,28 +26,27 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, NamedTuple
 
-from .arrays import ArrayCode, Shape, UnsupportedShapeError
+from .arrays import ArrayCode, Shape, UnsupportedShapeError, _Checked
 from .stratify import RankTable, Semiring, _cube_generators, _permuted_cells
 
 GroupKind = Literal["small", "large"]
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
+class GroupElement(_Checked, NamedTuple("GroupElement", [("rows", tuple)])):
     """An invertible 2x2 matrix over {0, 1}, stored as two rows."""
 
-    rows: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        (a, b), (c, d) = self.rows
+    def __new__(cls, rows: tuple[tuple[int, int], tuple[int, int]]) -> GroupElement:
+        (a, b), (c, d) = rows
         if {a, b, c, d} - {0, 1}:
-            raise ValueError(f"entries must be 0 or 1, got {self.rows}")
+            raise ValueError(f"entries must be 0 or 1, got {rows}")
         if (a & d) ^ (b & c) != 1:
-            raise ValueError(f"matrix {self.rows} is singular mod 2")
+            raise ValueError(f"matrix {rows} is singular mod 2")
+        return tuple.__new__(cls, (rows,))
 
 
 #: The six invertible matrices in lexicographic order of their entries.
@@ -61,16 +60,16 @@ GL2_F2: tuple[GroupElement, ...] = tuple(
 GL2_GENERATORS: tuple[GroupElement, ...] = (GL2_F2[0], GL2_F2[1])
 
 
-@dataclass(frozen=True)
-class AxisPermutation:
+class AxisPermutation(_Checked, NamedTuple("AxisPermutation", [("perm", tuple)])):
     """A bijection of the n directions; perm[j-1] is the image of j."""
 
-    perm: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError(f"{self.perm} is not a permutation of 1..{n}")
+    def __new__(cls, perm: tuple[int, ...]) -> AxisPermutation:
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
+            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        return tuple.__new__(cls, (perm,))
 
     @property
     def n(self) -> int:
@@ -87,8 +86,7 @@ def all_axis_permutations(n: int) -> tuple[AxisPermutation, ...]:
     )
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """One orbit: minimal member, rank, cardinality, ones of the minimum."""
 
     canonical: ArrayCode
@@ -98,8 +96,7 @@ class OrbitRecord:
     group: GroupKind
 
 
-@dataclass(frozen=True)
-class OrbitSplit:
+class OrbitSplit(NamedTuple):
     """How large orbit #index decomposes into small orbits.
 
     parts holds (count, size) pairs sorted by size ascending; an unsplit

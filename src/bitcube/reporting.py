@@ -15,10 +15,10 @@ is a reported outcome, never an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
+from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape, _mat_rows
 from .stratify import RankTable, Semiring, rank_distribution, stratify
 
@@ -42,8 +42,7 @@ def lower_bounds(n: int) -> tuple[int, int]:
     return (-(-total // small_order), -(-total // large_order))
 
 
-@dataclass(frozen=True)
-class PartitionRow:
+class PartitionRow(NamedTuple):
     """Arrays of one (rank, ones) class: count and minimal representative."""
 
     rank: int
@@ -84,31 +83,10 @@ def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
 # table construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
-
-
-#: Emission order of `emit_all_tables` and the CLI's --kind all.
-TABLE_KINDS = (
-    "strata-3-gf2",
-    "strata-3-bool",
-    "strata-3-nat",
-    "strata-4-gf2",
-    "strata-4-bool",
-    "strata-4-nat",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "split-3",
-    "split-4",
-    "small-split-3",
-    "lower-bounds",
-)
 
 
 def mat_compact(a: ArrayCode) -> str:
@@ -272,8 +250,7 @@ def _to_json(table: Table) -> str:
     return _json_text(_json_payload(table))
 
 
-_RENDERERS = {"md": _to_markdown, "csv": _to_csv, "json": _to_json}
-FORMATS = tuple(_RENDERERS)
+_RENDERERS = dict(zip(FORMATS, (_to_markdown, _to_csv, _to_json)))
 
 
 def render_table(table: Table, fmt: str) -> str:
@@ -307,15 +284,13 @@ def emit_all_tables(fmt: str = "md", flat: bool = False) -> str:
 # verification against the reference dataset
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

@@ -34,10 +34,10 @@ S_(k+1) for each k in turn: the whole group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
+from typing import NamedTuple
 
 from .arrays import (
     ArrayCode,
@@ -64,19 +64,36 @@ class Semiring(enum.Enum):
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
 class RankTable:
     """Exact rank of every code of one shape under one semiring.
 
     levels[r] is the set of codes of exact rank r as a bitset: bit c is set
     iff code c has rank r.  The levels partition the code space, level 0 is
     the zero array alone and the last level is nonempty.  Stratum r is the
-    ascending tuple of the codes in level r.
+    ascending tuple of the codes in level r.  A table is immutable; its
+    fields and cached properties live in the instance __dict__.
     """
 
-    shape: Shape
-    semiring: Semiring
-    levels: tuple[int, ...]
+    def __init__(self, shape: Shape, semiring: Semiring, levels: tuple[int, ...]):
+        vars(self).update(shape=shape, semiring=semiring, levels=levels)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.shape, self.semiring, self.levels
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is RankTable else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "RankTable(shape={!r}, semiring={!r}, levels={!r})".format(*self._key())
 
     @cached_property
     def stratum_sizes(self) -> tuple[int, ...]:
@@ -251,8 +268,7 @@ def percent_text(count: int, total: int, decimals: int) -> str:
     return text.rstrip("0").rstrip(".")
 
 
-@dataclass(frozen=True)
-class RankShare:
+class RankShare(NamedTuple):
     """One row of a rank distribution."""
 
     rank: int

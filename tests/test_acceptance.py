@@ -216,11 +216,10 @@ def test_criterion_09_oracle_equivalence(tables, sample_codes_4):
            "1000 sampled at n=4 (3 semirings)")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism():
     def run(args, seed):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = seed
-        env["BITCUBE_CACHE_DIR"] = str(tmp_path / "cache")
         return subprocess.run(
             [sys.executable, "-m", "bitcube", *args],
             capture_output=True,

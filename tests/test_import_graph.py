@@ -64,9 +64,11 @@ def loaded_modules(tmp_path, *argv):
     ],
 )
 def test_commands_without_arrays_load_no_numpy(tmp_path, argv, exit_code):
+    # dataclasses would load inspect, ast, dis and tokenize with it
     code, modules = loaded_modules(tmp_path, *argv)
     assert code == exit_code
     assert "numpy" not in modules
+    assert "dataclasses" not in modules
 
 
 def test_orbit_commands_run_where_numpy_cannot_be_imported(tmp_path):
@@ -105,8 +107,8 @@ def test_rank_loads_only_what_it_runs(tmp_path):
     )
     assert code == 0
     assert "bitcube.stratify" in modules
-    for name in ("numpy", "bitcube.groups", "bitcube.cache", "bitcube.expected", "json",
-                 "csv", "fractions"):
+    for name in ("numpy", "bitcube.groups", "bitcube.cache", "bitcube.expected",
+                 "bitcube.reporting", "json", "csv", "fractions", "dataclasses", "inspect"):
         assert name not in modules
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -221,7 +220,7 @@ def test_tampered_dataset_yields_exactly_one_mismatch():
     sizes = dict(DEFAULT.stratum_sizes)
     original = sizes[(4, "bool")]
     sizes[(4, "bool")] = original[:2] + (original[2] + 1,) + original[3:]
-    tampered = dataclasses.replace(DEFAULT, stratum_sizes=sizes)
+    tampered = DEFAULT._replace(stratum_sizes=sizes)
     report = verify_all("all", data=tampered)
     assert not report.passed
     assert len(report.mismatches) == 1
@@ -234,6 +233,6 @@ def test_tampered_orbit_row_reported():
     rows = list(orbits[4])
     rows[7] = (rows[7][0], rows[7][1] + 1, rows[7][2])
     orbits[4] = tuple(rows)
-    tampered = dataclasses.replace(DEFAULT, large_orbits=orbits)
+    tampered = DEFAULT._replace(large_orbits=orbits)
     report = verify_all("4", data=tampered)
     assert [c.name for c in report.mismatches] == ["large-group orbits n=4"]
