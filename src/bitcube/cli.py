@@ -15,7 +15,7 @@ Each command imports only the modules it runs: the symmetry groups, the
 table code in `reporting` and the reference dataset are imported inside the
 commands that need them, so a plain `rank` or `export` loads none of them.
 The parser takes its format and table-kind choices from the package.  No
-command loads numpy or dataclasses.
+command loads numpy.
 """
 
 from __future__ import annotations

@@ -44,6 +44,12 @@ VALUES = {
 }
 
 
+def _fields(value):
+    return {Shape: ("n",), ArrayCode: ("code", "shape"),
+            RankTable: ("shape", "semiring", "levels"), GroupElement: ("rows",),
+            AxisPermutation: ("perm",)}[type(value)]
+
+
 @pytest.mark.parametrize("kind", VALUES)
 def test_equal_values_compare_and_hash_equal(kind):
     value, same, other = VALUES[kind]()
@@ -65,12 +71,6 @@ def test_no_attribute_can_be_assigned(kind):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert repr(value) == before
-
-
-def _fields(value):
-    return {Shape: ("n",), ArrayCode: ("code", "shape"),
-            RankTable: ("shape", "semiring", "levels"), GroupElement: ("rows",),
-            AxisPermutation: ("perm",)}[type(value)]
 
 
 def test_repr_names_every_field():
