@@ -17,6 +17,7 @@ except ImportError:
     import bitcube
 
 from bitcube import Semiring, Shape, classify, orbit_split, stratify
+from bitcube.reporting import split_rule
 
 
 def census(n: int) -> None:
@@ -37,8 +38,7 @@ def census(n: int) -> None:
     splits = [s for s in orbit_split(table) if s.parts[0][0] > 1 or len(s.parts) > 1]
     print(f"split large orbits: {len(splits)}")
     for s in splits:
-        rule = " + ".join(f"{count}·{size}" for count, size in s.parts)
-        print(f"  {s.index} → {rule}")
+        print(f"  {split_rule(s)}")
     print()
 
 

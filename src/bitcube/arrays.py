@@ -69,14 +69,6 @@ class Shape(_Checked, NamedTuple("Shape", [("n", int)])):
         return itertools.product((1, 2), repeat=self.n)
 
 
-def flat_position(subs: Sequence[int], n: int) -> int:
-    """0-based linearization position of a subscript tuple."""
-    q = 0
-    for i in subs:
-        q = (q << 1) | (i - 1)
-    return q
-
-
 class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shape)])):
     """A 0-1 array of 2 x ... x 2 shape packed into an unsigned integer."""
 
@@ -112,11 +104,13 @@ class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shap
 
     def ones(self) -> int:
         """Number of entries equal to 1."""
-        return bin(self.code).count("1")
+        return self.code.bit_count()
 
     def bit(self, subs: Sequence[int]) -> int:
         """Entry at a subscript tuple."""
-        q = flat_position(subs, self.shape.n)
+        q = 0
+        for i in subs:
+            q = (q << 1) | (i - 1)
         return (self.code >> (self.shape.m - 1 - q)) & 1
 
     def entries(self) -> tuple[int, ...]:

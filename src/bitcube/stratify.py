@@ -34,7 +34,7 @@ S_(k+1) for each k in turn: the whole group.
 from __future__ import annotations
 
 import enum
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
 from typing import NamedTuple
@@ -60,42 +60,20 @@ class Semiring(enum.Enum):
     NONNEG = "nat"
 
 
-# the characters "0" and "1" to the bytes 0 and 1, for itertools.compress
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-class RankTable:
+class RankTable(NamedTuple):
     """Exact rank of every code of one shape under one semiring.
 
     levels[r] is the set of codes of exact rank r as a bitset: bit c is set
     iff code c has rank r.  The levels partition the code space, level 0 is
     the zero array alone and the last level is nonempty.  Stratum r is the
-    ascending tuple of the codes in level r.  A table is immutable; its
-    fields and cached properties live in the instance __dict__.
+    ascending tuple of the codes in level r, made once per table.
     """
 
-    def __init__(self, shape: Shape, semiring: Semiring, levels: tuple[int, ...]):
-        vars(self).update(shape=shape, semiring=semiring, levels=levels)
+    shape: Shape
+    semiring: Semiring
+    levels: tuple[int, ...]
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.shape, self.semiring, self.levels
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is RankTable else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "RankTable(shape={!r}, semiring={!r}, levels={!r})".format(*self._key())
-
-    @cached_property
+    @property
     def stratum_sizes(self) -> tuple[int, ...]:
         return tuple(level.bit_count() for level in self.levels)
 
@@ -103,13 +81,9 @@ class RankTable:
     def r_max(self) -> int:
         return len(self.levels) - 1
 
-    @cached_property
+    @property
     def strata(self) -> tuple[tuple[int, ...], ...]:
-        # bit c of a level is character c of its reversed binary text; the
-        # codes are made once, not once per level
-        codes = tuple(range(self.shape.code_count))
-        texts = (format(level, f"0{len(codes)}b")[::-1] for level in self.levels)
-        return tuple(tuple(compress(codes, t.encode().translate(_FLAGS))) for t in texts)
+        return _strata(self)
 
     def rank_of_code(self, code: int) -> int:
         # level & bit costs as much as the shorter operand, level >> code
@@ -119,6 +93,19 @@ class RankTable:
             if level & bit:
                 return r
         raise ValueError(f"code {code} out of range for dimension {self.shape.n}")
+
+
+# the characters "0" and "1" to the bytes 0 and 1, for itertools.compress
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=None)
+def _strata(table: RankTable) -> tuple[tuple[int, ...], ...]:
+    # bit c of a level is character c of its reversed binary text; the
+    # codes are made once, not once per level
+    codes = tuple(range(table.shape.code_count))
+    texts = (format(level, f"0{len(codes)}b")[::-1] for level in table.levels)
+    return tuple(tuple(compress(codes, t.encode().translate(_FLAGS))) for t in texts)
 
 
 def rank_of(a: ArrayCode, table: RankTable) -> int:

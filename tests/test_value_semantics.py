@@ -138,3 +138,17 @@ def test_rejected_input_raises_the_same_error_on_every_route(
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             cls._make(bad_args)
         assert type(cls(*args)._replace(**{field: args[position]})) is cls
+
+
+def test_rank_table_is_a_tuple_of_its_fields():
+    table = _table()
+    shape, semiring, levels = table
+    assert (shape, semiring, levels) == (Shape(3), Semiring.GF2, table.levels)
+    assert table == (table.shape, table.semiring, table.levels)
+
+
+def test_rank_table_strata_are_made_once():
+    table = _table()
+    assert table.strata is table.strata
+    same = RankTable(table.shape, table.semiring, table.levels)
+    assert same.strata is table.strata
