@@ -252,8 +252,9 @@ def _orbits_of(shape: Shape, group: str) -> _Orbits:
 
 def canonical_form(a: ArrayCode, group: GroupKind) -> tuple[ArrayCode, int]:
     """The minimal member of a code's orbit, and the orbit's size."""
-    code = _orbits_of(a.shape, group).canon(a.code, group)
-    return ArrayCode(code, a.shape), _orbits(a.shape.n).sizes[group][code]
+    orbits = _orbits_of(a.shape, group)
+    code = orbits.canon(a.code, group)
+    return ArrayCode(code, a.shape), orbits.sizes[group][code]
 
 
 def _orbit(a: ArrayCode, group: GroupKind) -> tuple[ArrayCode, ...]:

@@ -15,20 +15,19 @@ bits of a bitset, and a swap of two code bits i < j moves each member c
 with bit i set and bit j clear by 2**j - 2**i, all at once: one delta swap
 (Knuth, The Art of Computer Programming 4A, 7.1.3).
 
-For the integer case x + y is x | y with x & y == 0, so the next level is
-the union of (level & Z_y) << y over the 3**n rank-1 codes y, where Z_y is
-the set of codes disjoint from y.  For the field and the Boolean case the
-level is translated by one rank-1 code per orbit of the n-cube's symmetry
-group (order 2**n * n!, generated by slice swaps and transpositions of
-directions), one code bit at a time, and the union is then closed under
-that group.  The group permutes cells, so it maps rank-1 arrays to rank-1
-arrays and commutes with xor and or: every level is a union of orbits, and
-g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.  The closure
-takes S = S | g(S) along the slice swaps, then along the bubble sequence
-t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions.  A step along g
-turns the images under a set A of elements into those under A·{e, g}, and
-these products give all sets of slice swaps, then a transversal of S_k in
-S_(k+1) for each k in turn: the whole group.
+In all three semirings the level is translated by one rank-1 code per orbit
+of the n-cube's symmetry group (order 2**n * n!, generated by slice swaps
+and transpositions of directions), one code bit at a time, and the union is
+then closed under that group.  For the integer case x + y is x | y with
+x & y == 0, so a member that holds a bit of the code drops out.  The group
+permutes cells, so it maps rank-1 arrays to rank-1 arrays, commutes with
+xor and or and keeps disjoint supports disjoint: every level is a union of
+orbits, and g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.  The
+closure takes S = S | g(S) along the slice swaps, then along the bubble
+sequence t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions.  A step
+along g turns the images under a set A of elements into those under
+A·{e, g}, and these products give all sets of slice swaps, then a
+transversal of S_k in S_(k+1) for each k in turn: the whole group.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache, reduce
 from itertools import compress
-from operator import and_, or_
+from operator import or_
 from typing import NamedTuple
 
 from .arrays import (
@@ -188,30 +187,20 @@ def _orbit_bits(n: int) -> tuple[tuple[int, ...], ...]:
                  for x, y in zip(ys, ys[1:]))
 
 
-@lru_cache(maxsize=None)
-def _disjoint_terms(n: int) -> tuple[tuple[int, int], ...]:
-    # every rank-1 code y with Z_y, the bitset of the codes disjoint from y
-    clear = _clear_masks(n)
-    return tuple(
-        (y, reduce(and_, (clear[b] for b in range(1 << n) if y >> b & 1)))
-        for y in rank_one_codes(Shape(n))
-    )
-
-
 def _sums(level: int, n: int, semiring: Semiring) -> int:
     """Every sum x + y of a member x of the level and a rank-1 code y."""
-    if semiring is Semiring.NONNEG:
-        return reduce(or_, ((level & disjoint) << y for y, disjoint in _disjoint_terms(n)))
-    # add y_f one code bit b at a time: the members with bit b clear move up
-    # by 2**b, those with it set move down (xor) or stay (or)
+    # add y_f one code bit b at a time: members with bit b clear move up by
+    # 2**b, those with it set move down (xor), stay (or) or drop out (integer)
     clear, union = _clear_masks(n), 0
     for bits in _orbit_bits(n):
         for b in bits:
             low = level & clear[b]
             if semiring is Semiring.GF2:
                 level = level >> (1 << b) & clear[b] | low << (1 << b)
-            else:
+            elif semiring is Semiring.BOOLEAN:
                 level = level ^ low | low << (1 << b)
+            else:
+                level = low << (1 << b)
         union |= level
     return _cube_closure(union, n)
 

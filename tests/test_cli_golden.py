@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from bitcube.cli import main
-from bitcube.reporting import TABLE_KINDS
+from bitcube import TABLE_KINDS
 
 DIGESTS = Path(__file__).with_name("cli_golden.json")
 

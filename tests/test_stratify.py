@@ -142,6 +142,15 @@ def test_boolean_rank_never_exceeds_integer_rank(tables):
             assert (boolean == integer).all()
 
 
+def test_gf2_rank_never_exceeds_integer_rank(tables):
+    # a sum of pairwise disjoint terms is also their xor
+    for n, strictly_below in ((3, 42), (4, 28190)):
+        gf2 = _rank_array(tables[(n, "gf2")])
+        integer = _rank_array(tables[(n, "nat")])
+        assert (gf2 <= integer).all()
+        assert (gf2 < integer).sum() == strictly_below
+
+
 def test_rank_bounded_by_ones_count(tables):
     from conftest import popcount_array
 
