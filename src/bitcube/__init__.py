@@ -6,10 +6,10 @@ Boolean, non-negative integers), classifies orbits and canonical forms under
 the two symmetry groups defined over the field, and emits or verifies the
 full result tables.
 
-The names of `cache`, `groups` and `reporting` are imported on first access
-(PEP 562), so that each command loads only the modules it runs.  Those of
-`stratify` are imported eagerly: the function `stratify` shares its name
-with the submodule, which would otherwise shadow it once imported.
+The names of `cache`, `expected`, `groups` and `reporting` are imported on
+first access (PEP 562), so that each command loads only the modules it runs.
+Those of `stratify` are imported eagerly: the function `stratify` shares its
+name with the submodule, which would otherwise shadow it once imported.
 FORMATS and TABLE_KINDS are defined here, where the CLI's parser reads them
 without loading `reporting`.
 """
@@ -66,8 +66,9 @@ _LAZY = {
     "groups": ("GL2_F2", "GL2_GENERATORS", "AxisPermutation", "GroupElement",
                "OrbitRecord", "OrbitSplit", "all_axis_permutations", "canonical_form",
                "classify", "large_orbit", "orbit_split", "small_orbit"),
-    "reporting": ("PartitionRow", "VerifyReport", "emit_all_tables", "emit_table",
-                  "lower_bounds", "partition_by_ones", "verify_all"),
+    "expected": ("VerifyReport", "verify_all"),
+    "reporting": ("PartitionRow", "emit_all_tables", "emit_table", "lower_bounds",
+                  "partition_by_ones"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -14,8 +14,9 @@ and `tables --kind strata-4-nat` print the same bytes from the same code.
 Each command imports only the modules it runs: the symmetry groups, the
 table code in `reporting` and the reference dataset are imported inside the
 commands that need them, so a plain `rank` or `export` loads none of them.
-The parser takes its format and table-kind choices from the package.  No
-command loads numpy.
+`main` builds the parser of the named subcommand alone, from `_COMMANDS`,
+and takes its format and table-kind choices from the package.  No command
+loads numpy.
 """
 
 from __future__ import annotations
@@ -131,78 +132,74 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .reporting import verify_all
+    from .expected import verify_all
     report = verify_all(args.scope)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_N = ("--n", {"type": int, "choices": (3, 4), "required": True})
+_SEMIRING = ("--semiring", {"choices": _SEMIRINGS, "required": True})
+_FORMAT = ("--format", {"choices": FORMATS, "default": "md"})
+
+# Every subcommand, in the order of the help listing: name, help, function
+# and the (name, keywords) of each argument.
+_COMMANDS = (
+    ("enumerate", "rank distribution of one shape/semiring", cmd_enumerate,
+     (_N, _SEMIRING, _FORMAT)),
+    ("rank", "rank of one array given as a 0/1 string", cmd_rank,
+     (_N, _SEMIRING, ("--group", {"choices": ("small", "large")}),
+      ("array", {"nargs": "+", "help": "2**n characters '0'/'1' in "
+                 "linearization order; spaces allowed"}))),
+    ("classify", "orbit classification over the field", cmd_classify,
+     (_N, ("--group", {"choices": ("small", "large"), "required": True}),
+      ("--semiring", {"choices": _SEMIRINGS, "default": "gf2"}),
+      ("--flat", {"action": "store_true", "help": "flattened canonical forms"}),
+      _FORMAT)),
+    ("split", "large-to-small orbit splitting report", cmd_split,
+     (_N, ("--format", {"choices": ("text",) + FORMATS, "default": "text"}))),
+    ("bounds", "orbit-count lower bounds for n = 3..6", cmd_bounds, (_FORMAT,)),
+    ("export", "dump one stratification as structured text", cmd_export,
+     (_N, _SEMIRING)),
+    ("tables", "emit reference tables", cmd_tables,
+     (("--kind", {"choices": TABLE_KINDS + ("all",), "default": "all"}),
+      ("--flat", {"action": "store_true", "help": "flattened forms everywhere"}),
+      _FORMAT)),
+    ("verify", "check every computed value against the dataset", cmd_verify,
+     (("--scope", {"choices": ("3", "4", "all"), "default": "all"}),)),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named.
+
+    A lone subcommand's parser keeps the full choice list in the top-level
+    usage, so its errors print the same text as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="bitcube",
         description="Rank and symmetry classification of 0-1 arrays of shape "
         "2x2x2 and 2x2x2x2",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="rank distribution of one shape/semiring")
-    p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--semiring", choices=_SEMIRINGS, required=True)
-    p.add_argument("--format", choices=FORMATS, default="md")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("rank", help="rank of one array given as a 0/1 string")
-    p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--semiring", choices=_SEMIRINGS, required=True)
-    p.add_argument("--group", choices=("small", "large"))
-    p.add_argument(
-        "array",
-        nargs="+",
-        help="2**n characters '0'/'1' in linearization order; spaces allowed",
-    )
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("classify", help="orbit classification over the field")
-    p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--group", choices=("small", "large"), required=True)
-    p.add_argument("--semiring", choices=_SEMIRINGS, default="gf2")
-    p.add_argument("--flat", action="store_true", help="flattened canonical forms")
-    p.add_argument("--format", choices=FORMATS, default="md")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("split", help="large-to-small orbit splitting report")
-    p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--format", choices=("text",) + FORMATS, default="text")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("bounds", help="orbit-count lower bounds for n = 3..6")
-    p.add_argument("--format", choices=FORMATS, default="md")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser(
-        "export", help="dump one stratification as structured text"
-    )
-    p.add_argument("--n", type=int, choices=(3, 4), required=True)
-    p.add_argument("--semiring", choices=_SEMIRINGS, required=True)
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("tables", help="emit reference tables")
-    p.add_argument("--kind", choices=TABLE_KINDS + ("all",), default="all")
-    p.add_argument("--flat", action="store_true", help="flattened forms everywhere")
-    p.add_argument("--format", choices=FORMATS, default="md")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("verify", help="check every computed value against the dataset")
-    p.add_argument("--scope", choices=("3", "4", "all"), default="all")
-    p.set_defaults(func=cmd_verify)
-
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, summary, func, arguments in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for argument, keywords in arguments:
+                p.add_argument(argument, **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # only the named subcommand's parser is built; --help, no arguments and
+    # an unknown name get every one, so that they list them all
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -1,18 +1,25 @@
-"""Reference values the engine must reproduce.
+"""Reference values the engine must reproduce, and the harness that checks them.
 
-Everything the verification harness compares against lives here, as one
-auditable dataset: stratum sizes, orbit tables, the orbit splitting report,
-the rank/ones partition tables and the orbit-count lower bounds.  Canonical
-forms and representatives are stored as 0/1 strings in linearization order.
+Everything `verify` compares against lives here, as one auditable dataset:
+stratum sizes, orbit tables, the orbit splitting report, the rank/ones
+partition tables and the orbit-count lower bounds.  Canonical forms and
+representatives are stored as 0/1 strings in linearization order.
 
-Each field of the default dataset is an independent constant; the harness
+Each field of the default dataset is an independent constant; `verify_all`
 compares one computed quantity against one field, so a single tampered
-value produces exactly one reported mismatch.
+value produces exactly one reported mismatch.  It recomputes every
+classification from scratch, and a mismatch is a reported outcome, never an
+exception.  Of the commands, only `verify` imports this module.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .arrays import Shape
+from .groups import classify, orbit_split
+from .reporting import lower_bounds, partition_by_ones, rank2_small_split
+from .stratify import Semiring, stratify
 
 
 class ReferenceData(NamedTuple):
@@ -298,9 +305,9 @@ _LOWER_BOUNDS = {
     6: (395377745064077, 549135757034),
 }
 
-#: Documentation only, never verified: for 2x2x2 arrays over the reals the
-#: rank percentages are approximately 0, 0, 79, 21 (versus 0, 11, 63, 26
-#: over the two-element field).
+#: Documentation only, never verified: for random real 2×2×2 arrays
+#: (Bergqvist 2013) the rank percentages are approximately 0, 0, 79, 21
+#: (versus 0, 11, 63, 26 for the 0-1 arrays over the two-element field).
 REAL_CASE_RANK_PERCENTS_3 = "0, 0, 79, 21"
 
 DEFAULT = ReferenceData(
@@ -316,3 +323,143 @@ DEFAULT = ReferenceData(
     },
     lower_bounds=_LOWER_BOUNDS,
 )
+
+
+# ---------------------------------------------------------------------------
+# verification against the reference dataset
+# ---------------------------------------------------------------------------
+
+class Check(NamedTuple):
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+class VerifyReport(NamedTuple):
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def mismatches(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+    def lines(self) -> list[str]:
+        out = []
+        for c in self.checks:
+            status = "ok  " if c.passed else "FAIL"
+            line = f"{status} {c.name}"
+            if not c.passed and c.detail:
+                line += f": {c.detail}"
+            out.append(line)
+        out.append(
+            f"verification: {len(self.checks)} checks, "
+            f"{len(self.mismatches)} mismatches"
+        )
+        return out
+
+
+def _compare(name: str, computed, reference) -> Check:
+    if computed == reference:
+        return Check(name, True)
+    detail = f"computed {computed!r} != expected {reference!r}"
+    if isinstance(computed, tuple) and isinstance(reference, tuple):
+        for i, (c, e) in enumerate(zip(computed, reference)):
+            if c != e:
+                detail = (
+                    f"first difference at row {i}: "
+                    f"computed {c!r} != expected {e!r}"
+                )
+                break
+        else:
+            detail = f"row count {len(computed)} != {len(reference)}"
+    return Check(name, False, detail)
+
+
+def _scope_dimensions(scope: str) -> tuple[int, ...]:
+    if scope == "all":
+        return (3, 4)
+    if scope in ("3", "4"):
+        return (int(scope),)
+    raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
+
+
+def verify_all(scope: str = "all", data: ReferenceData | None = None) -> VerifyReport:
+    """Recompute every classification in scope and compare with the dataset,
+    by default the embedded one, DEFAULT as it is at call time."""
+    data = DEFAULT if data is None else data
+    checks = []
+    for n in _scope_dimensions(scope):
+        shape = Shape(n)
+        tables = {s: stratify(shape, s) for s in Semiring}
+        for s in Semiring:
+            checks.append(
+                _compare(
+                    f"stratum sizes n={n} {s.value}",
+                    tables[s].stratum_sizes,
+                    data.stratum_sizes[(n, s.value)],
+                )
+            )
+        if n == 3:
+            checks.append(
+                _compare(
+                    "boolean and integer strata identical n=3",
+                    tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels,
+                    data.boolean_equals_nonneg_at_3,
+                )
+            )
+        gf2 = tables[Semiring.GF2]
+        checks.append(
+            _compare(
+                f"large-group orbits n={n}",
+                tuple(
+                    (r.rank, r.size, r.canonical.text())
+                    for r in classify(gf2, "large")
+                ),
+                data.large_orbits[n],
+            )
+        )
+        checks.append(
+            _compare(
+                f"small-group orbit count n={n}",
+                len(classify(gf2, "small")),
+                data.small_orbit_counts[n],
+            )
+        )
+        checks.append(
+            _compare(
+                f"orbit splitting n={n}",
+                tuple((s.index, s.parts) for s in orbit_split(gf2)),
+                data.orbit_splits[n],
+            )
+        )
+        if n == 3:
+            checks.append(
+                _compare(
+                    "rank-2 small-group split n=3",
+                    rank2_small_split(flat=True).rows,
+                    data.rank2_small_split_3,
+                )
+            )
+        partition_keys = [(n, "bool")] if n == 3 else [(n, "bool"), (n, "nat")]
+        for key in partition_keys:
+            checks.append(
+                _compare(
+                    f"partition rows n={key[0]} {key[1]}",
+                    tuple(
+                        (row.rank, row.ones, row.count, row.representative.text())
+                        for row in partition_by_ones(tables[Semiring(key[1])])
+                    ),
+                    data.partitions[key],
+                )
+            )
+    checks.append(
+        _compare(
+            "lower bounds n=3..6",
+            {n: lower_bounds(n) for n in range(3, 7)},
+            data.lower_bounds,
+        )
+    )
+    return VerifyReport(tuple(checks))

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Literal, NamedTuple
 
 from .arrays import ArrayCode, Shape, UnsupportedShapeError, _Checked
-from .stratify import RankTable, Semiring, _cube_generators, _permuted_cells
+from .stratify import RankTable, Semiring, _cube_generators
 
 GroupKind = Literal["small", "large"]
 
@@ -129,27 +129,6 @@ def _axis_images(g: GroupElement, direction: int, n: int) -> list[int]:
     (g11, g12), (g21, g22) = g.rows
     return [g11 << b | g21 << (b - s) if b & s else g12 << (b + s) | g22 << b
             for b in range(1 << n)]
-
-
-def _array(images: list[int]):
-    import numpy as np
-    out = np.array(_linear_table(images), dtype=np.uint32)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def axis_action_table(g: GroupElement, direction: int, n: int):
-    """Image of every code under one matrix acting along one direction, as a
-    read-only numpy array; numpy is imported here, as only tests use it."""
-    return _array(_axis_images(g, direction, n))
-
-
-@lru_cache(maxsize=None)
-def permutation_action_table(p: AxisPermutation, n: int):
-    """Image of every code under one direction permutation, as a read-only
-    numpy array; numpy is imported here, as only tests use it."""
-    return _array([1 << c for c in _permuted_cells(p.perm, n)])
 
 
 @lru_cache(maxsize=None)

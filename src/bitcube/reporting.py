@@ -1,4 +1,4 @@
-"""Lower bounds, rank/ones partitions, table emission and verification.
+"""Lower bounds, rank/ones partitions and table emission.
 
 Every table reaches text the same way: `build_table` assembles a table
 kind (see TABLE_KINDS) as a `Table` and `render_table` renders it as
@@ -7,9 +7,8 @@ Markdown, CSV or JSON.  The commands `enumerate`, `split`, `bounds` and
 `orbit_records_table` and renders it likewise.
 
 Table emission is deterministic: a given (kind, format) pair always yields
-byte-identical text.  Verification recomputes every classification from
-scratch and compares it against the embedded reference dataset; a mismatch
-is a reported outcome, never an exception.
+byte-identical text.  The verification harness that compares these values
+with the reference dataset lives beside it, in `expected`.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape, _mat_rows
 from .stratify import RankTable, Semiring, rank_distribution, stratify
 
-# groups, expected, csv and json are imported by the functions that use
-# them, so that each command loads only what it runs.
+# groups, csv and json are imported by the functions that use them, so that
+# each command loads only what it runs.
 
 Cell = Union[int, str]
 
@@ -100,18 +99,20 @@ def _canon_cell(a: ArrayCode, flat: bool) -> str:
     return mat_compact(a)
 
 
+def _ratio(p: int, q: int) -> str:
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
+
+
 def distribution_table(table: RankTable, fmt: str = "md") -> Table:
     """Rank distribution of a stratification as an emittable table."""
-    dist = rank_distribution(table)
+    total = table.shape.code_count
     columns: tuple[str, ...] = ("rank", "count", "percent")
-    rows = [(share.rank, share.count, share.percent) for share in dist]
+    rows = [tuple(share) for share in rank_distribution(table)]
     if fmt in ("csv", "json"):
+        # the exact share 100·count/total in lowest terms, "0/1" for none
         columns += ("percent_exact",)
-        rows = [
-            row
-            + (f"{share.percent_exact.numerator}/{share.percent_exact.denominator}",)
-            for row, share in zip(rows, dist)
-        ]
+        rows = [row + (_ratio(100 * row[1], total),) for row in rows]
     return Table(
         f"strata-{table.shape.n}-{table.semiring.value}", columns, tuple(rows)
     )
@@ -278,145 +279,3 @@ def emit_all_tables(fmt: str = "md", flat: bool = False) -> str:
         else:
             sections.append(f"{kind}\r\n{body}")
     return "\n".join(sections)
-
-
-# ---------------------------------------------------------------------------
-# verification against the reference dataset
-# ---------------------------------------------------------------------------
-
-class Check(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-class VerifyReport(NamedTuple):
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def mismatches(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "ok  " if c.passed else "FAIL"
-            line = f"{status} {c.name}"
-            if not c.passed and c.detail:
-                line += f": {c.detail}"
-            out.append(line)
-        out.append(
-            f"verification: {len(self.checks)} checks, "
-            f"{len(self.mismatches)} mismatches"
-        )
-        return out
-
-
-def _compare(name: str, computed, reference) -> Check:
-    if computed == reference:
-        return Check(name, True)
-    detail = f"computed {computed!r} != expected {reference!r}"
-    if isinstance(computed, tuple) and isinstance(reference, tuple):
-        for i, (c, e) in enumerate(zip(computed, reference)):
-            if c != e:
-                detail = (
-                    f"first difference at row {i}: "
-                    f"computed {c!r} != expected {e!r}"
-                )
-                break
-        else:
-            detail = f"row count {len(computed)} != {len(reference)}"
-    return Check(name, False, detail)
-
-
-def _scope_dimensions(scope: str) -> tuple[int, ...]:
-    if scope == "all":
-        return (3, 4)
-    if scope in ("3", "4"):
-        return (int(scope),)
-    raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
-
-
-def verify_all(scope: str = "all", data: expected.ReferenceData | None = None) -> VerifyReport:
-    """Recompute every classification in scope and compare with the dataset
-    (by default the embedded one, expected.DEFAULT)."""
-    from . import expected
-    from .groups import classify, orbit_split
-    data = expected.DEFAULT if data is None else data
-    checks = []
-    for n in _scope_dimensions(scope):
-        shape = Shape(n)
-        tables = {s: stratify(shape, s) for s in Semiring}
-        for s in Semiring:
-            checks.append(
-                _compare(
-                    f"stratum sizes n={n} {s.value}",
-                    tables[s].stratum_sizes,
-                    data.stratum_sizes[(n, s.value)],
-                )
-            )
-        if n == 3:
-            checks.append(
-                _compare(
-                    "boolean and integer strata identical n=3",
-                    tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels,
-                    data.boolean_equals_nonneg_at_3,
-                )
-            )
-        gf2 = tables[Semiring.GF2]
-        checks.append(
-            _compare(
-                f"large-group orbits n={n}",
-                tuple(
-                    (r.rank, r.size, r.canonical.text())
-                    for r in classify(gf2, "large")
-                ),
-                data.large_orbits[n],
-            )
-        )
-        checks.append(
-            _compare(
-                f"small-group orbit count n={n}",
-                len(classify(gf2, "small")),
-                data.small_orbit_counts[n],
-            )
-        )
-        checks.append(
-            _compare(
-                f"orbit splitting n={n}",
-                tuple((s.index, s.parts) for s in orbit_split(gf2)),
-                data.orbit_splits[n],
-            )
-        )
-        if n == 3:
-            checks.append(
-                _compare(
-                    "rank-2 small-group split n=3",
-                    rank2_small_split(flat=True).rows,
-                    data.rank2_small_split_3,
-                )
-            )
-        partition_keys = [(n, "bool")] if n == 3 else [(n, "bool"), (n, "nat")]
-        for key in partition_keys:
-            checks.append(
-                _compare(
-                    f"partition rows n={key[0]} {key[1]}",
-                    tuple(
-                        (row.rank, row.ones, row.count, row.representative.text())
-                        for row in partition_by_ones(tables[Semiring(key[1])])
-                    ),
-                    data.partitions[key],
-                )
-            )
-    checks.append(
-        _compare(
-            "lower bounds n=3..6",
-            {n: lower_bounds(n) for n in range(3, 7)},
-            data.lower_bounds,
-        )
-    )
-    return VerifyReport(tuple(checks))

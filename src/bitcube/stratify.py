@@ -47,9 +47,6 @@ from .arrays import (
     rank_one_codes,
 )
 
-# fractions is imported by the function that uses it: every command imports
-# this module, and `bounds` does not need it.
-
 
 class Semiring(enum.Enum):
     """Addition semantics on {0, 1}: 1+1 = 0, 1 or 2 respectively."""
@@ -212,6 +209,9 @@ def _stratify(n: int, semiring: Semiring) -> RankTable:
     levels, seen = [1, rank_one], 1 | rank_one
     while seen != everything:
         levels.append(_sums(levels[-1], n, semiring) & ~seen)
+        if not levels[-1]:
+            raise RuntimeError(f"rank level {len(levels) - 1} is empty before "
+                               f"every code of dimension {n} is ranked")
         seen |= levels[-1]
     return RankTable(Shape(n), semiring, tuple(levels))
 
@@ -250,12 +250,10 @@ class RankShare(NamedTuple):
     rank: int
     count: int
     percent: str
-    percent_exact: Fraction
 
 
 def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
     """Counts per stratum with percentages of the full code space."""
-    from fractions import Fraction
     total = table.shape.code_count
     decimals = PERCENT_DECIMALS[table.shape.n]
     return tuple(
@@ -263,7 +261,6 @@ def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
             rank=r,
             count=count,
             percent=percent_text(count, total, decimals),
-            percent_exact=Fraction(100 * count, total),
         )
         for r, count in enumerate(table.stratum_sizes)
     )

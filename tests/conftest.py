@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 try:
     import bitcube  # noqa: F401
 except ImportError:  # running from a checkout without installation
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    sys.path.insert(0, SRC)
+    # and for the `python -m bitcube` processes that tests spawn
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 from hypothesis import settings
 
@@ -31,7 +35,7 @@ def cube_tables(n):
     """The n-cube's generators as action tables: the slice swap along each
     direction, then the transpositions of adjacent directions."""
     from bitcube import GL2_F2, AxisPermutation
-    from bitcube.groups import axis_action_table, permutation_action_table
+    from orbit_oracle import axis_action_table, permutation_action_table
 
     tables = [axis_action_table(GL2_F2[0], d, n) for d in range(1, n + 1)]
     for j in range(1, n):

@@ -16,6 +16,11 @@ the union of the small orbits of all direction permutations of the code,
 since permutations normalize the small group.  The orbit under the n-cube's
 symmetry group is expanded over all 2**n * n! cell maps: swap the two
 slices of any subset of directions, then transpose subscripts.
+
+The module also holds the engine's actions as whole-space numpy tables
+(`axis_action_table`, `permutation_action_table`), for the tests that index
+by them.  Those are not part of the oracle: they are built from the engine's
+own per-bit images, and the tests check them against the scalar actions.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import itertools
 from functools import lru_cache
 
 from bitcube import ArrayCode, AxisPermutation, GroupElement, Shape
+from bitcube.groups import _axis_images, _linear_table
+from bitcube.stratify import _permuted_cells
 
 
 def matmul(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -171,3 +178,28 @@ class OrbitMinima:
                 self.small(act_permutation(p, a).code) for p in self._perms
             )
         return self._large[key]
+
+
+# ---------------------------------------------------------------------------
+# the engine's actions as numpy tables
+# ---------------------------------------------------------------------------
+
+def _array(images: list[int]):
+    import numpy as np
+    out = np.array(_linear_table(images), dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def axis_action_table(g: GroupElement, direction: int, n: int):
+    """Image of every code under one matrix acting along one direction, as a
+    read-only numpy array."""
+    return _array(_axis_images(g, direction, n))
+
+
+@lru_cache(maxsize=None)
+def permutation_action_table(p: AxisPermutation, n: int):
+    """Image of every code under one direction permutation, as a read-only
+    numpy array."""
+    return _array([1 << c for c in _permuted_cells(p.perm, n)])

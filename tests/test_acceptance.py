@@ -28,9 +28,8 @@ from bitcube import (
     unflatten,
 )
 from bitcube.expected import DEFAULT
-from bitcube.groups import axis_action_table, permutation_action_table
-
 from conftest import SAMPLE_SEED
+from orbit_oracle import axis_action_table, permutation_action_table
 from rank_oracle import RankSearch
 
 S3, S4 = Shape(3), Shape(4)

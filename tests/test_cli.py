@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+import bitcube.expected
 from bitcube import ArrayCode, Shape
-from bitcube.cli import main
+from bitcube.cli import build_parser, main
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import OrbitMinima, large_orbit_naive, small_orbit_naive
@@ -187,6 +188,58 @@ def test_verify_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "3")
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_verify_exits_one_on_a_dataset_it_fails(capsys, monkeypatch):
+    # verify reads the embedded dataset when it runs
+    data = bitcube.expected.DEFAULT
+    sizes = dict(data.stratum_sizes)
+    sizes[(4, "bool")] = sizes[(4, "bool")][:2] + (1805,) + sizes[(4, "bool")][3:]
+    monkeypatch.setattr(bitcube.expected, "DEFAULT", data._replace(stratum_sizes=sizes))
+    code, out, _ = run_cli(capsys, "verify", "--scope", "4")
+    assert code == 1
+    assert ("FAIL stratum sizes n=4 bool: first difference at row 2: "
+            "computed 1804 != expected 1805") in out.splitlines()
+    assert out.splitlines()[-1].endswith(", 1 mismatches")
+
+
+SAMPLE_ARGV = {
+    "enumerate": ["--n", "4", "--semiring", "nat", "--format", "csv"],
+    "rank": ["--n", "3", "--semiring", "gf2", "--group", "small", "0110", "1001"],
+    "classify": ["--n", "3", "--group", "large", "--flat", "--format", "json"],
+    "split": ["--n", "4", "--format", "md"],
+    "bounds": ["--format", "json"],
+    "export": ["--n", "3", "--semiring", "bool"],
+    "tables": ["--kind", "table5", "--flat"],
+    "verify": ["--scope", "3"],
+}
+
+
+def _help_text(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_ARGV))
+def test_lone_subcommand_parser_matches_the_full_parser(capsys, command):
+    full, lone = build_parser(), build_parser(command)
+    argv = [command, *SAMPLE_ARGV[command]]
+    assert lone.parse_args(argv) == full.parse_args(argv)
+    assert _help_text(capsys, lone, [command, "--help"]) == _help_text(
+        capsys, full, [command, "--help"])
+    assert lone.format_usage() == full.format_usage()
+
+
+def test_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    for command in SAMPLE_ARGV:
+        assert f"'{command}'" in err
 
 
 def test_usage_error_exit_code_from_argparse(capsys):

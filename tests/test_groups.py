@@ -21,12 +21,7 @@ from bitcube import (
     orbit_split,
     small_orbit,
 )
-from bitcube.groups import (
-    _linear_table,
-    _orbits,
-    axis_action_table,
-    permutation_action_table,
-)
+from bitcube.groups import _linear_table, _orbits
 from bitcube.stratify import _cube_closure, _cube_generators
 
 from conftest import SAMPLE_SEED, cube_tables
@@ -35,8 +30,10 @@ from orbit_oracle import (
     act_axis,
     act_permutation,
     apply_vec,
+    axis_action_table,
     large_orbit_naive,
     matmul,
+    permutation_action_table,
     small_orbit_naive,
 )
 

@@ -144,6 +144,22 @@ print(code, "numpy" in sys.modules, len(os.listdir("/proc/self/task")),
     assert last.split() == ["0", "False", "1", preset or "unset"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "4", "--semiring", "nat", "--format", "csv"],
+    ["tables", "--kind", "all", "--format", "json"],
+    ["tables", "--kind", "all"],
+    ["bounds"],
+])
+def test_table_commands_load_no_fractions_and_no_dataset(tmp_path, argv):
+    # the exact percentages are written with math.gcd, and only verify
+    # reads the reference dataset
+    code, modules = loaded_modules(tmp_path, *argv)
+    assert code == 0
+    assert "bitcube.reporting" in modules
+    for name in ("fractions", "decimal", "bitcube.expected"):
+        assert name not in modules
+
+
 def test_verify_loads_no_cache(tmp_path):
     code, modules = loaded_modules(tmp_path, "verify", "--scope", "3")
     assert code == 0
@@ -160,7 +176,7 @@ import bitcube
 from bitcube.cli import main
 assert main(["rank", "--n", "3", "--semiring", "gf2", "00000001"]) == 0
 modules = [importlib.import_module("bitcube." + m)
-           for m in ("arrays", "stratify", "cache", "groups", "reporting")]
+           for m in ("arrays", "stratify", "cache", "groups", "reporting", "expected")]
 for name in bitcube.__all__:
     namespace = {}
     exec(f"from bitcube import {name}", namespace)

@@ -1,4 +1,7 @@
+import csv
+import importlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.stratify import _cube_closure, percent_text
+from bitcube.reporting import emit_table
+from bitcube.stratify import _cube_closure, _stratify, percent_text
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import OrbitMinima
 from rank_oracle import closure_ranks
@@ -26,6 +30,20 @@ S4 = Shape(4)
 def test_stratify_rejects_large_dimensions():
     with pytest.raises(UnsupportedShapeError):
         stratify(Shape(5), Semiring.GF2)
+
+
+def test_empty_level_raises_instead_of_looping(monkeypatch):
+    # a level step that finds nothing new would otherwise repeat for ever
+    monkeypatch.setattr(importlib.import_module("bitcube.stratify"), "_sums",
+                        lambda level, n, semiring: 0)
+    _stratify.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="rank level 2 is empty"):
+            stratify(S3, Semiring.GF2)
+    finally:
+        monkeypatch.undo()
+        _stratify.cache_clear()
+    assert stratify(S3, Semiring.GF2).stratum_sizes == (1, 27, 162, 66)
 
 
 def test_semiring_tags():
@@ -223,4 +241,7 @@ def test_rank_distribution_counts_sum(tables):
     for (n, _), table in tables.items():
         dist = rank_distribution(table)
         assert sum(d.count for d in dist) == Shape(n).code_count
-        assert sum(d.percent_exact for d in dist) == 100
+        # the csv table's exact percentages add up to 100 exactly
+        kind = f"strata-{n}-{table.semiring.value}"
+        rows = list(csv.DictReader(emit_table(kind, "csv").splitlines()))
+        assert sum(Fraction(row["percent_exact"]) for row in rows) == 100
