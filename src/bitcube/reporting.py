@@ -100,19 +100,20 @@ def _canon_cell(a: ArrayCode, flat: bool) -> str:
 
 
 def _ratio(p: int, q: int) -> str:
+    # p/q in lowest terms, as Fraction(p, q) holds it: "0/1" for none
     g = math.gcd(p, q)
     return f"{p // g}/{q // g}"
 
 
 def distribution_table(table: RankTable, fmt: str = "md") -> Table:
     """Rank distribution of a stratification as an emittable table."""
-    total = table.shape.code_count
+    dist = rank_distribution(table)
     columns: tuple[str, ...] = ("rank", "count", "percent")
-    rows = [tuple(share) for share in rank_distribution(table)]
+    rows = [(share.rank, share.count, share.percent) for share in dist]
     if fmt in ("csv", "json"):
-        # the exact share 100·count/total in lowest terms, "0/1" for none
         columns += ("percent_exact",)
-        rows = [row + (_ratio(100 * row[1], total),) for row in rows]
+        total = table.shape.code_count
+        rows = [row + (_ratio(100 * share.count, total),) for row, share in zip(rows, dist)]
     return Table(
         f"strata-{table.shape.n}-{table.semiring.value}", columns, tuple(rows)
     )

@@ -11,7 +11,8 @@ except ImportError:  # running from a checkout without installation
     SRC = str(Path(__file__).resolve().parents[1] / "src")
     sys.path.insert(0, SRC)
     # and for the `python -m bitcube` processes that tests spawn
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 from hypothesis import settings
 
