@@ -6,36 +6,13 @@ Boolean, non-negative integers), classifies orbits and canonical forms under
 the two symmetry groups defined over the field, and emits or verifies the
 full result tables.
 
-The names of `cache`, `expected`, `groups` and `reporting` are imported on
-first access (PEP 562), so that each command loads only the modules it runs.
-Those of `stratify` are imported eagerly: the function `stratify` shares its
-name with the submodule, which would otherwise shadow it once imported.
-FORMATS and TABLE_KINDS are defined here, where the CLI's parser reads them
-without loading `reporting`.
+Every public name is imported on first access (PEP 562) from the submodule
+that `_LAZY` lists it under, so `import bitcube` loads no submodule and each
+command loads only the modules it runs.  FORMATS and TABLE_KINDS are defined
+here, where the CLI's parser reads them without loading `reporting`.
 """
 
 from importlib import import_module
-
-from .arrays import (
-    ArrayCode,
-    NONZERO_VECS,
-    Shape,
-    ShapeMismatchError,
-    UnsupportedShapeError,
-    flatten,
-    outer_product,
-    rank_one_codes,
-    render_mat,
-    unflatten,
-)
-from .stratify import (
-    RankShare,
-    RankTable,
-    Semiring,
-    rank_distribution,
-    rank_of,
-    stratify,
-)
 
 __version__ = "0.1.0"
 
@@ -62,13 +39,17 @@ TABLE_KINDS = (
 )
 
 _LAZY = {
+    "arrays": ("ArrayCode", "NONZERO_VECS", "Shape", "ShapeMismatchError",
+               "UnsupportedShapeError", "flatten", "outer_product", "rank_one_codes",
+               "render_mat", "unflatten"),
+    "ranks": ("RankTable", "Semiring", "rank_of", "stratify"),
     "cache": ("CacheError", "dump_table", "load_table"),
     "groups": ("GL2_F2", "GL2_GENERATORS", "AxisPermutation", "GroupElement",
                "OrbitRecord", "OrbitSplit", "all_axis_permutations", "canonical_form",
                "classify", "large_orbit", "orbit_split", "small_orbit"),
     "expected": ("VerifyReport", "verify_all"),
-    "reporting": ("PartitionRow", "emit_all_tables", "emit_table", "lower_bounds",
-                  "partition_by_ones"),
+    "reporting": ("PartitionRow", "RankShare", "emit_all_tables", "emit_table",
+                  "lower_bounds", "partition_by_ones", "rank_distribution"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -85,14 +66,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_MODULE_OF))
 
 
-__all__ = [
-    "ArrayCode", "AxisPermutation", "CacheError", "GL2_F2", "GL2_GENERATORS",
-    "GroupElement", "NONZERO_VECS", "OrbitRecord", "OrbitSplit", "PartitionRow",
-    "RankShare", "RankTable", "Semiring", "Shape", "ShapeMismatchError",
-    "TABLE_KINDS", "UnsupportedShapeError", "VerifyReport",
-    "all_axis_permutations", "canonical_form", "classify", "dump_table",
-    "emit_all_tables", "emit_table", "flatten", "large_orbit", "load_table",
-    "lower_bounds", "orbit_split", "outer_product", "partition_by_ones",
-    "rank_distribution", "rank_of", "rank_one_codes", "render_mat",
-    "small_orbit", "stratify", "unflatten", "verify_all",
-]
+__all__ = sorted([*_MODULE_OF, "TABLE_KINDS"])

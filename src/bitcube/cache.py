@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import Shape, rank_one_codes
-from .stratify import RankTable, Semiring
+from .ranks import RankTable, Semiring
 
 FORMAT_VERSION = 1
 

@@ -1,18 +1,19 @@
 """Command-line surface: enumerate, rank, classify, split, bounds, export,
 tables and verify.
 
-Every command computes the stratifications it needs in process (`stratify`
-memoises them) and reads or writes no file; its output is a pure function
-of its arguments and the embedded reference dataset.  Exit codes:
-0 success, 1 verification mismatch, 2 usage error.
+Every command computes the stratifications it needs in process
+(`ranks.stratify` memoises them) and reads or writes no file; its output is
+a pure function of its arguments and the embedded reference dataset.  Exit
+codes: 0 success, 1 verification mismatch, 2 usage error.
 
 `enumerate`, `bounds`, `tables` and `split` in md, csv or json print table
 kinds through `reporting.emit_table`, so `enumerate --n 4 --semiring nat`
 and `tables --kind strata-4-nat` print the same bytes from the same code.
 `classify` renders its orbit table with `reporting.render_table`.
 
-Each command imports only the modules it runs: the symmetry groups, the
-table code in `reporting` and the reference dataset are imported inside the
+Each command imports only the modules it runs.  Every command needs the codes
+in `arrays` and the rank levels in `ranks`; the symmetry groups, the table
+code in `reporting` and the reference dataset are imported inside the
 commands that need them, so a plain `rank` or `export` loads none of them.
 `main` builds the parser of the named subcommand alone, from `_COMMANDS`,
 and takes its format and table-kind choices from the package.  No command
@@ -27,17 +28,13 @@ from typing import Optional, Sequence
 
 from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape
-from .stratify import Semiring, rank_of, stratify
+from .ranks import Semiring, rank_of, stratify
 
 _SEMIRINGS = [s.value for s in Semiring]
 
 
 class UsageError(Exception):
     """Invalid flag combination or malformed command input."""
-
-
-def _semiring(args: argparse.Namespace) -> Semiring:
-    return Semiring(args.semiring)
 
 
 def _require_field_for_group(semiring: Semiring) -> None:
@@ -59,7 +56,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    semiring = _semiring(args)
+    semiring = Semiring(args.semiring)
     if args.group is not None:
         _require_field_for_group(semiring)
     shape = Shape(args.n)
@@ -79,7 +76,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     from .groups import classify
     from .reporting import orbit_records_table, render_table
-    semiring = _semiring(args)
+    semiring = Semiring(args.semiring)
     _require_field_for_group(semiring)
     table = stratify(Shape(args.n), semiring)
     records = classify(table, args.group)
@@ -108,7 +105,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     """One stratification as JSON, every stratum on a line of its own."""
     import json
-    table = stratify(Shape(args.n), _semiring(args))
+    table = stratify(Shape(args.n), Semiring(args.semiring))
     strata_lines = ",\n".join(
         "    " + json.dumps(list(stratum)) for stratum in table.strata
     )

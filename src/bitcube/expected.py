@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .arrays import Shape
 from .groups import classify, orbit_split
 from .reporting import lower_bounds, partition_by_ones, rank2_small_split
-from .stratify import Semiring, stratify
+from .ranks import Semiring, stratify
 
 
 class ReferenceData(NamedTuple):
@@ -305,11 +305,6 @@ _LOWER_BOUNDS = {
     6: (395377745064077, 549135757034),
 }
 
-#: Documentation only, never verified: for random real 2×2×2 arrays
-#: (Bergqvist 2013) the rank percentages are approximately 0, 0, 79, 21
-#: (versus 0, 11, 63, 26 for the 0-1 arrays over the two-element field).
-REAL_CASE_RANK_PERCENTS_3 = "0, 0, 79, 21"
-
 DEFAULT = ReferenceData(
     stratum_sizes=_STRATUM_SIZES,
     large_orbits={3: _LARGE_ORBITS_3, 4: _LARGE_ORBITS_4},
@@ -386,10 +381,10 @@ def _scope_dimensions(scope: str) -> tuple[int, ...]:
     raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
 
 
-def verify_all(scope: str = "all", data: ReferenceData | None = None) -> VerifyReport:
-    """Recompute every classification in scope and compare with the dataset,
-    by default the embedded one, DEFAULT as it is at call time."""
-    data = DEFAULT if data is None else data
+def verify_all(scope: str = "all") -> VerifyReport:
+    """Recompute every classification in scope and compare with the embedded
+    dataset, DEFAULT as it is at call time."""
+    data = DEFAULT
     checks = []
     for n in _scope_dimensions(scope):
         shape = Shape(n)

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Literal, NamedTuple
 
 from .arrays import ArrayCode, Shape, UnsupportedShapeError, _Checked
-from .stratify import RankTable, Semiring, _cube_generators
+from .ranks import RankTable, Semiring, _cube_generators
 
 GroupKind = Literal["small", "large"]
 

@@ -228,39 +228,3 @@ def stratify(shape: Shape, semiring: Semiring) -> RankTable:
         )
     return _stratify(shape.n, semiring)
 
-
-# Decimal places of the percentage column, per dimension; these mirror the
-# precision used in the reference tables (whole percentage points for n = 3,
-# three decimals for n = 4).
-PERCENT_DECIMALS = {3: 0, 4: 3}
-
-
-def percent_text(count: int, total: int, decimals: int) -> str:
-    """count/total as a percentage, rounded half-up; trailing zeros dropped."""
-    scaled = (2 * count * 100 * 10**decimals + total) // (2 * total)
-    if decimals == 0:
-        return str(scaled)
-    text = f"{scaled // 10**decimals}.{scaled % 10**decimals:0{decimals}d}"
-    return text.rstrip("0").rstrip(".")
-
-
-class RankShare(NamedTuple):
-    """One row of a rank distribution."""
-
-    rank: int
-    count: int
-    percent: str
-
-
-def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
-    """Counts per stratum with percentages of the full code space."""
-    total = table.shape.code_count
-    decimals = PERCENT_DECIMALS[table.shape.n]
-    return tuple(
-        RankShare(
-            rank=r,
-            count=count,
-            percent=percent_text(count, total, decimals),
-        )
-        for r, count in enumerate(table.stratum_sizes)
-    )

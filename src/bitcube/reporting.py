@@ -1,4 +1,4 @@
-"""Lower bounds, rank/ones partitions and table emission.
+"""Lower bounds, rank distributions, rank/ones partitions and table emission.
 
 Every table reaches text the same way: `build_table` assembles a table
 kind (see TABLE_KINDS) as a `Table` and `render_table` renders it as
@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence, Union
 
 from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape, _mat_rows
-from .stratify import RankTable, Semiring, rank_distribution, stratify
+from .ranks import RankTable, Semiring, stratify
 
 # groups, csv and json are imported by the functions that use them, so that
 # each command loads only what it runs.
@@ -39,6 +39,43 @@ def lower_bounds(n: int) -> tuple[int, int]:
     small_order = 6**n
     large_order = small_order * math.factorial(n)
     return (-(-total // small_order), -(-total // large_order))
+
+
+# Decimal places of the percentage column, per dimension; these mirror the
+# precision used in the reference tables (whole percentage points for n = 3,
+# three decimals for n = 4).
+PERCENT_DECIMALS = {3: 0, 4: 3}
+
+
+def percent_text(count: int, total: int, decimals: int) -> str:
+    """count/total as a percentage, rounded half-up; trailing zeros dropped."""
+    scaled = (2 * count * 100 * 10**decimals + total) // (2 * total)
+    if decimals == 0:
+        return str(scaled)
+    text = f"{scaled // 10**decimals}.{scaled % 10**decimals:0{decimals}d}"
+    return text.rstrip("0").rstrip(".")
+
+
+class RankShare(NamedTuple):
+    """One row of a rank distribution."""
+
+    rank: int
+    count: int
+    percent: str
+
+
+def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
+    """Counts per stratum with percentages of the full code space."""
+    total = table.shape.code_count
+    decimals = PERCENT_DECIMALS[table.shape.n]
+    return tuple(
+        RankShare(
+            rank=r,
+            count=count,
+            percent=percent_text(count, total, decimals),
+        )
+        for r, count in enumerate(table.stratum_sizes)
+    )
 
 
 class PartitionRow(NamedTuple):

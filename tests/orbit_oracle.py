@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from bitcube import ArrayCode, AxisPermutation, GroupElement, Shape
 from bitcube.groups import _axis_images, _linear_table
-from bitcube.stratify import _permuted_cells
+from bitcube.ranks import _permuted_cells
 
 
 def matmul(g: GroupElement, h: GroupElement) -> GroupElement:

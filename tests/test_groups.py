@@ -22,7 +22,7 @@ from bitcube import (
     small_orbit,
 )
 from bitcube.groups import _linear_table, _orbits
-from bitcube.stratify import _cube_closure, _cube_generators
+from bitcube.ranks import _cube_closure, _cube_generators
 
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import (
@@ -242,8 +242,8 @@ def test_labels_equal_oracle_orbit_minima_sample_n4(sample_codes_4):
 
 
 def _cube_closure_labels(n):
-    # each code's orbit minimum under the n-cube group, from stratify's
-    # bitset closure of the lowest code not yet labelled
+    # each code's orbit minimum under the n-cube group, from the bitset
+    # closure in `ranks` of the lowest code not yet labelled
     labels = np.empty(Shape(n).code_count, dtype=np.int64)
     unseen = (1 << labels.size) - 1
     while unseen:

@@ -106,7 +106,7 @@ def test_rank_loads_only_what_it_runs(tmp_path):
         tmp_path, "rank", "--n", "4", "--semiring", "gf2", "0110101110111101"
     )
     assert code == 0
-    assert "bitcube.stratify" in modules
+    assert "bitcube.ranks" in modules
     for name in ("numpy", "bitcube.groups", "bitcube.cache", "bitcube.expected",
                  "bitcube.reporting", "json", "csv", "fractions", "dataclasses", "inspect"):
         assert name not in modules
@@ -168,15 +168,16 @@ def test_verify_loads_no_cache(tmp_path):
 
 
 def test_every_exported_name_is_the_defining_modules_object(tmp_path):
-    # After a command has run and every submodule is imported, the package
-    # attribute `stratify` must still be the function, not the submodule.
+    # After a command has run and every submodule is imported, each exported
+    # name must still be the object its module defines, never a submodule:
+    # the function `stratify` lives in `ranks`, not in a module of its name.
     script = """
 import importlib, sys, types
 import bitcube
 from bitcube.cli import main
 assert main(["rank", "--n", "3", "--semiring", "gf2", "00000001"]) == 0
 modules = [importlib.import_module("bitcube." + m)
-           for m in ("arrays", "stratify", "cache", "groups", "reporting", "expected")]
+           for m in ("arrays", "ranks", "cache", "groups", "reporting", "expected")]
 for name in bitcube.__all__:
     namespace = {}
     exec(f"from bitcube import {name}", namespace)
@@ -192,3 +193,29 @@ print("checked", len(bitcube.__all__))
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == f"1\nchecked {len(bitcube.__all__)}\n"
+
+
+def test_bare_import_loads_no_submodule_and_each_submodule_binds_itself(tmp_path):
+    # every public name is resolved on first use, so `import bitcube` loads
+    # nothing of the package, and no name shadows a submodule of the package
+    script = """
+import json, pkgutil, sys, types
+import bitcube
+loaded = sorted(m for m in sys.modules if m.startswith("bitcube."))
+names = sorted(m.name for m in pkgutil.iter_modules(bitcube.__path__))
+shadowed = []
+for name in names:
+    exec(f"import bitcube.{name} as x")
+    if not isinstance(x, types.ModuleType) or x.__name__ != "bitcube." + name:
+        shadowed.append(name)
+print(json.dumps([loaded, names, shadowed]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded, names, shadowed = json.loads(proc.stdout)
+    assert loaded == []
+    assert "ranks" in names
+    assert shadowed == []

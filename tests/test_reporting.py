@@ -216,23 +216,23 @@ def test_verify_rejects_unknown_scope():
         verify_all("5")
 
 
-def test_tampered_dataset_yields_exactly_one_mismatch():
+def test_tampered_dataset_yields_exactly_one_mismatch(monkeypatch):
     sizes = dict(DEFAULT.stratum_sizes)
     original = sizes[(4, "bool")]
     sizes[(4, "bool")] = original[:2] + (original[2] + 1,) + original[3:]
-    tampered = DEFAULT._replace(stratum_sizes=sizes)
-    report = verify_all("all", data=tampered)
+    monkeypatch.setattr("bitcube.expected.DEFAULT", DEFAULT._replace(stratum_sizes=sizes))
+    report = verify_all("all")
     assert not report.passed
     assert len(report.mismatches) == 1
     assert report.mismatches[0].name == "stratum sizes n=4 bool"
     assert "first difference at row 2" in report.mismatches[0].detail
 
 
-def test_tampered_orbit_row_reported():
+def test_tampered_orbit_row_reported(monkeypatch):
     orbits = dict(DEFAULT.large_orbits)
     rows = list(orbits[4])
     rows[7] = (rows[7][0], rows[7][1] + 1, rows[7][2])
     orbits[4] = tuple(rows)
-    tampered = DEFAULT._replace(large_orbits=orbits)
-    report = verify_all("4", data=tampered)
+    monkeypatch.setattr("bitcube.expected.DEFAULT", DEFAULT._replace(large_orbits=orbits))
+    report = verify_all("4")
     assert [c.name for c in report.mismatches] == ["large-group orbits n=4"]

@@ -1,5 +1,4 @@
 import csv
-import importlib
 import random
 from fractions import Fraction
 
@@ -17,8 +16,8 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.reporting import emit_table
-from bitcube.stratify import _cube_closure, _stratify, percent_text
+from bitcube.ranks import _cube_closure, _stratify
+from bitcube.reporting import emit_table, percent_text
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import OrbitMinima
 from rank_oracle import closure_ranks
@@ -34,8 +33,7 @@ def test_stratify_rejects_large_dimensions():
 
 def test_empty_level_raises_instead_of_looping(monkeypatch):
     # a level step that finds nothing new would otherwise repeat for ever
-    monkeypatch.setattr(importlib.import_module("bitcube.stratify"), "_sums",
-                        lambda level, n, semiring: 0)
+    monkeypatch.setattr("bitcube.ranks._sums", lambda level, n, semiring: 0)
     _stratify.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="rank level 2 is empty"):
