@@ -12,6 +12,7 @@ smallest code.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence, Tuple
 
@@ -30,8 +31,10 @@ class UnsupportedShapeError(ValueError):
 
 
 class _Checked:
-    """Base of the namedtuples whose __new__ validates its arguments: _make,
-    and with it _replace, builds through the class, so no route skips it."""
+    """Base of the namedtuples whose __new__ validates its arguments and
+    stores each integer field as a plain int (operator.index, so floats
+    raise TypeError): _make, and with it _replace, builds through the class,
+    so no route skips it."""
 
     __slots__ = ()
 
@@ -50,6 +53,7 @@ class Shape(_Checked, NamedTuple("Shape", [("n", int)])):
     __slots__ = ()
 
     def __new__(cls, n: int) -> Shape:
+        n = operator.index(n)
         if not 3 <= n <= 6:
             raise UnsupportedShapeError(f"dimension must be in 3..6, got {n}")
         return tuple.__new__(cls, (n,))
@@ -75,6 +79,7 @@ class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shap
     __slots__ = ()
 
     def __new__(cls, code: int, shape: Shape) -> ArrayCode:
+        code = operator.index(code)
         if not 0 <= code < shape.code_count:
             raise ValueError(f"code {code} out of range for dimension {shape.n}")
         return tuple.__new__(cls, (code, shape))

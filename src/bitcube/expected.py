@@ -373,88 +373,45 @@ def _compare(name: str, computed, reference) -> Check:
     return Check(name, False, detail)
 
 
-def _scope_dimensions(scope: str) -> tuple[int, ...]:
-    if scope == "all":
-        return (3, 4)
-    if scope in ("3", "4"):
-        return (int(scope),)
-    raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
+_SCOPES = {"3": (3,), "4": (4,), "all": (3, 4)}
+
+
+def _checks(n: int, data: ReferenceData):
+    """The (name, computed, reference) triple of each check at dimension n,
+    in report order."""
+    tables = {s: stratify(Shape(n), s) for s in Semiring}
+    for s in Semiring:
+        yield (f"stratum sizes n={n} {s.value}", tables[s].stratum_sizes,
+               data.stratum_sizes[(n, s.value)])
+    if n == 3:
+        yield ("boolean and integer strata identical n=3",
+               tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels,
+               data.boolean_equals_nonneg_at_3)
+    gf2 = tables[Semiring.GF2]
+    yield (f"large-group orbits n={n}",
+           tuple((r.rank, r.size, r.canonical.text()) for r in classify(gf2, "large")),
+           data.large_orbits[n])
+    yield (f"small-group orbit count n={n}", len(classify(gf2, "small")),
+           data.small_orbit_counts[n])
+    yield (f"orbit splitting n={n}", tuple((s.index, s.parts) for s in orbit_split(gf2)),
+           data.orbit_splits[n])
+    if n == 3:
+        yield ("rank-2 small-group split n=3", rank2_small_split(flat=True).rows,
+               data.rank2_small_split_3)
+    for s in [Semiring.BOOLEAN] if n == 3 else [Semiring.BOOLEAN, Semiring.NONNEG]:
+        yield (f"partition rows n={n} {s.value}",
+               tuple((row.rank, row.ones, row.count, row.representative.text())
+                     for row in partition_by_ones(tables[s])),
+               data.partitions[(n, s.value)])
 
 
 def verify_all(scope: str = "all") -> VerifyReport:
     """Recompute every classification in scope and compare with the embedded
     dataset, DEFAULT as it is at call time."""
+    if not isinstance(scope, str) or scope not in _SCOPES:
+        raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
     data = DEFAULT
-    checks = []
-    for n in _scope_dimensions(scope):
-        shape = Shape(n)
-        tables = {s: stratify(shape, s) for s in Semiring}
-        for s in Semiring:
-            checks.append(
-                _compare(
-                    f"stratum sizes n={n} {s.value}",
-                    tables[s].stratum_sizes,
-                    data.stratum_sizes[(n, s.value)],
-                )
-            )
-        if n == 3:
-            checks.append(
-                _compare(
-                    "boolean and integer strata identical n=3",
-                    tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels,
-                    data.boolean_equals_nonneg_at_3,
-                )
-            )
-        gf2 = tables[Semiring.GF2]
-        checks.append(
-            _compare(
-                f"large-group orbits n={n}",
-                tuple(
-                    (r.rank, r.size, r.canonical.text())
-                    for r in classify(gf2, "large")
-                ),
-                data.large_orbits[n],
-            )
-        )
-        checks.append(
-            _compare(
-                f"small-group orbit count n={n}",
-                len(classify(gf2, "small")),
-                data.small_orbit_counts[n],
-            )
-        )
-        checks.append(
-            _compare(
-                f"orbit splitting n={n}",
-                tuple((s.index, s.parts) for s in orbit_split(gf2)),
-                data.orbit_splits[n],
-            )
-        )
-        if n == 3:
-            checks.append(
-                _compare(
-                    "rank-2 small-group split n=3",
-                    rank2_small_split(flat=True).rows,
-                    data.rank2_small_split_3,
-                )
-            )
-        partition_keys = [(n, "bool")] if n == 3 else [(n, "bool"), (n, "nat")]
-        for key in partition_keys:
-            checks.append(
-                _compare(
-                    f"partition rows n={key[0]} {key[1]}",
-                    tuple(
-                        (row.rank, row.ones, row.count, row.representative.text())
-                        for row in partition_by_ones(tables[Semiring(key[1])])
-                    ),
-                    data.partitions[key],
-                )
-            )
-    checks.append(
-        _compare(
-            "lower bounds n=3..6",
-            {n: lower_bounds(n) for n in range(3, 7)},
-            data.lower_bounds,
-        )
-    )
-    return VerifyReport(tuple(checks))
+    checks = [check for n in _SCOPES[scope] for check in _checks(n, data)]
+    checks.append(("lower bounds n=3..6", {n: lower_bounds(n) for n in range(3, 7)},
+                   data.lower_bounds))
+    return VerifyReport(tuple(_compare(*check) for check in checks))

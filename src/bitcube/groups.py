@@ -25,6 +25,7 @@ A class's least node holds its canonical form.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Literal, NamedTuple
@@ -41,7 +42,7 @@ class GroupElement(_Checked, NamedTuple("GroupElement", [("rows", tuple)])):
     __slots__ = ()
 
     def __new__(cls, rows: tuple[tuple[int, int], tuple[int, int]]) -> GroupElement:
-        (a, b), (c, d) = rows
+        (a, b), (c, d) = rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if {a, b, c, d} - {0, 1}:
             raise ValueError(f"entries must be 0 or 1, got {rows}")
         if (a & d) ^ (b & c) != 1:
@@ -66,6 +67,7 @@ class AxisPermutation(_Checked, NamedTuple("AxisPermutation", [("perm", tuple)])
     __slots__ = ()
 
     def __new__(cls, perm: tuple[int, ...]) -> AxisPermutation:
+        perm = tuple(map(operator.index, perm))
         n = len(perm)
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{n}")
@@ -136,25 +138,21 @@ def _slices() -> tuple[dict, dict, dict, dict]:
     """G3's orbits on the n = 3 codes: per code, its orbit minimum P and
     elements taking it to P and back; per P, its stabiliser.
 
-    An element is its table of 256 bytes, so t∘u is u.translate(t).  Element
-    36i + 6j + k is GL2_F2[i], [j] and [k] along directions 1, 2 and 3, and
-    its inverse is the element of the factors' inverses, since
-    ((a, b), (c, d)) has inverse ((d, b), (c, a)) mod 2.
+    An element g is its table of 256 bytes, g[x] the image of x: t∘u is
+    u.translate(t), and g's inverse is the table that maps each g[x] to x.
     """
     d1, d2, d3 = ([bytes(_linear_table(_axis_images(g, d, 3))) for g in GL2_F2]
                   for d in (1, 2, 3))
     elements = [w.translate(v).translate(u) for u in d1 for v in d2 for w in d3]
-    inv = [GL2_F2.index(GroupElement(((d, b), (c, a)))) for (a, b), (c, d) in
-           (g.rows for g in GL2_F2)]
-    inverses = [elements[36 * inv[i] + 6 * inv[j] + inv[k]]
-                for i, j, k in itertools.product(range(6), repeat=3)]
+    identity = bytes(range(256))
     least, to_least, from_least, stabilisers = {}, {}, {}, {}
     for p in range(256):
         if p not in least:
             stabilisers[p] = [g for g in elements if g[p] == p]
-            for g, g_inverse in zip(elements, inverses):
+            for g in elements:
                 if g[p] not in least:
-                    least[g[p]], from_least[g[p]], to_least[g[p]] = p, g, g_inverse
+                    least[g[p]], from_least[g[p]] = p, g
+                    to_least[g[p]] = bytes.maketrans(g, identity)
     return least, to_least, from_least, stabilisers
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bitcube import (
     orbit_split,
     small_orbit,
 )
-from bitcube.groups import _linear_table, _orbits
+from bitcube.groups import _linear_table, _orbits, _slices
 from bitcube.ranks import _cube_closure, _cube_generators
 
 from conftest import SAMPLE_SEED, cube_tables
@@ -281,6 +282,24 @@ def test_cube_tables_equal_action_tables(n):
     # matrix and direction-permutation builders: the slice swap is GL2_F2[0]
     for images, table in zip(_cube_generators(n), cube_tables(n), strict=True):
         assert _linear_table([1 << c for c in images]) == tuple(table.tolist())
+
+
+def test_slice_tables_carry_each_code_to_its_minimum_and_back():
+    # G3 = GL2_F2**3 on the n = 3 codes, as the slice engine holds it: per
+    # code, mutually inverse tables to and from its orbit minimum; per
+    # minimum, a stabiliser whose order times the orbit's size is |G3|
+    least, to_least, from_least, stabilisers = _slices()
+    assert len(_orbits(3).nodes) == 8 and len(_orbits(4).nodes) == 396
+    identity = bytes(range(256))
+    for a in range(256):
+        assert least[least[a]] == least[a] <= a
+        assert to_least[a][a] == least[a] and from_least[a][least[a]] == a
+        assert to_least[a].translate(from_least[a]) == identity
+        assert from_least[a].translate(to_least[a]) == identity
+    orbit_sizes = Counter(least.values())
+    assert set(orbit_sizes) == set(stabilisers)
+    for p, stabiliser in stabilisers.items():
+        assert len(stabiliser) * orbit_sizes[p] == 216
 
 
 def test_action_tables_read_only_and_orbits_dimension_checked():

@@ -24,6 +24,7 @@ from bitcube import (
 
 SWAP = ((0, 1), (1, 0))
 SINGULAR = ((1, 1), (1, 1))
+FLOAT = "'float' object cannot be interpreted as an integer"
 
 
 def _table():
@@ -121,6 +122,12 @@ REJECTED = [
      "entries must be 0 or 1, got ((2, 0), (0, 1))"),
     (AxisPermutation, ((2, 1, 3),), "perm", (1, 1, 3), ValueError,
      "(1, 1, 3) is not a permutation of 1..3"),
+    # integer fields take integers only: a float raises, even a whole one
+    (Shape, (3,), "n", 3.5, TypeError, FLOAT),
+    (Shape, (3,), "n", 4.0, TypeError, FLOAT),
+    (ArrayCode, (5, Shape(3)), "code", 5.0, TypeError, FLOAT),
+    (GroupElement, (SWAP,), "rows", ((1.0, 0), (0, 1)), TypeError, FLOAT),
+    (AxisPermutation, ((2, 1, 3),), "perm", (1.0, 2.0, 3.0), TypeError, FLOAT),
 ]
 
 
@@ -138,6 +145,38 @@ def test_rejected_input_raises_the_same_error_on_every_route(
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             cls._make(bad_args)
         assert type(cls(*args)._replace(**{field: args[position]})) is cls
+
+
+class Index:
+    """An integer type that is not int: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_any_integer_type_is_stored_as_a_plain_int():
+    values = [
+        (Shape(Index(4)), Shape(4)),
+        (ArrayCode(Index(5), Shape(3)), ArrayCode(5, Shape(3))),
+        (GroupElement(((Index(0), Index(1)), (Index(1), Index(0)))), GroupElement(SWAP)),
+        (GroupElement(((False, True), (True, False))), GroupElement(SWAP)),
+        (AxisPermutation((Index(2), Index(1), Index(3))), AxisPermutation((2, 1, 3))),
+        (Shape(3)._replace(n=Index(4)), Shape(4)),
+        (ArrayCode._make((Index(5), Shape(3))), ArrayCode(5, Shape(3))),
+    ]
+    for value, plain in values:
+        assert value == plain and repr(value) == repr(plain)
+        assert all(type(leaf) is int for leaf in _leaves(value))
+    assert stratify(Shape(Index(3)), Semiring.GF2) is _table()
 
 
 def test_rank_table_is_a_tuple_of_its_fields():
