@@ -47,7 +47,8 @@ class Shape(_Checked, NamedTuple("Shape", [("n", int)])):
     """Dimension count of a 2 x ... x 2 array (every extent is fixed at 2).
 
     Full enumeration is only feasible for n = 3, 4; dimensions up to 6 are
-    accepted so that orbit-count lower bounds can be evaluated.
+    accepted as values, and every operation that enumerates a code space
+    rejects them with UnsupportedShapeError.
     """
 
     __slots__ = ()
@@ -73,13 +74,19 @@ class Shape(_Checked, NamedTuple("Shape", [("n", int)])):
         return itertools.product((1, 2), repeat=self.n)
 
 
+def _checked_shape(shape: Shape) -> Shape:
+    if not isinstance(shape, Shape):
+        raise TypeError(f"shape must be a Shape, got {type(shape).__name__}")
+    return shape
+
+
 class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shape)])):
     """A 0-1 array of 2 x ... x 2 shape packed into an unsigned integer."""
 
     __slots__ = ()
 
     def __new__(cls, code: int, shape: Shape) -> ArrayCode:
-        code = operator.index(code)
+        code, shape = operator.index(code), _checked_shape(shape)
         if not 0 <= code < shape.code_count:
             raise ValueError(f"code {code} out of range for dimension {shape.n}")
         return tuple.__new__(cls, (code, shape))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache, reduce
 from itertools import compress
-from operator import or_
+from operator import index, or_
 from typing import NamedTuple
 
 from .arrays import (
@@ -43,6 +43,8 @@ from .arrays import (
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
+    _checked_shape,
+    _Checked,
     outer_product,
     rank_one_codes,
 )
@@ -56,18 +58,30 @@ class Semiring(enum.Enum):
     NONNEG = "nat"
 
 
-class RankTable(NamedTuple):
+class RankTable(_Checked, NamedTuple("RankTable", [("shape", Shape), ("semiring", Semiring),
+                                                   ("levels", tuple)])):
     """Exact rank of every code of one shape under one semiring.
 
     levels[r] is the set of codes of exact rank r as a bitset: bit c is set
     iff code c has rank r.  The levels partition the code space, level 0 is
-    the zero array alone and the last level is nonempty.  Stratum r is the
-    ascending tuple of the codes in level r, made once per table.
+    the zero array alone and no level is empty; the constructor checks all
+    three.  Stratum r is the ascending tuple of the codes in level r, made
+    once per table.
     """
 
-    shape: Shape
-    semiring: Semiring
-    levels: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, shape: Shape, semiring: Semiring,
+                levels: tuple[int, ...]) -> RankTable:
+        shape, semiring = _checked_shape(shape), Semiring(semiring)
+        levels = tuple(map(index, levels))
+        if levels[:1] != (1,):
+            raise ValueError("stratum 0 is not the zero array alone")
+        # disjoint iff the sizes add up to the size of the union
+        if (not all(levels) or reduce(or_, levels) != (1 << shape.code_count) - 1
+                or sum(map(int.bit_count, levels)) != shape.code_count):
+            raise ValueError("levels do not partition the code space, or one is empty")
+        return tuple.__new__(cls, (shape, semiring, levels))
 
     @property
     def stratum_sizes(self) -> tuple[int, ...]:

@@ -7,16 +7,21 @@ from bitcube import CacheError, dump_table, load_table
 from bitcube.cache import FORMAT_VERSION
 
 
-def write_strata(path, n, tag, strata):
-    """A well-formed cache file (valid header and checksum) for any strata."""
-    body = struct.pack("<6sHBBB3x", b"BCRKTB", FORMAT_VERSION, n, tag, len(strata) - 1)
-    for stratum in strata:
-        body += struct.pack(f"<I{len(stratum)}I", len(stratum), *stratum)
+def write_levels(path, n, tag, levels, size=None):
+    """A well-formed cache file (valid header and checksum) for any levels,
+    each written in `size` bytes (by default the size n asks for)."""
+    size = size or (1 << (1 << n)) // 8
+    body = struct.pack("<6sHBBB3x", b"BCRKTB", FORMAT_VERSION, n, tag, len(levels) - 1)
+    body += b"".join(level.to_bytes(size, "little") for level in levels)
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def gf2_n3_strata(tables):
-    return [list(s) for s in tables[(3, "gf2")].strata]
+def gf2_n3_levels(tables):
+    return list(tables[(3, "gf2")].levels)
+
+
+def lowest(level):
+    return level & -level
 
 
 def test_round_trip_every_table(tables, tmp_path):
@@ -75,43 +80,51 @@ def test_version_mismatch_rejected(tables, tmp_path):
         load_table(path)
 
 
-def test_code_out_of_range_rejected(tables, tmp_path):
-    strata = gf2_n3_strata(tables)
-    strata[-1][-1] = 256
+def test_version_one_file_rejected(tables, tmp_path):
     path = tmp_path / "t.bin"
-    write_strata(path, 3, 0, strata)
-    with pytest.raises(CacheError, match="out of range"):
+    dump_table(tables[(3, "gf2")], path)
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<H", body, 6, 1)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CacheError, match="cache format v1, expected v2$"):
+        load_table(path)
+
+
+def test_wrong_length_rejected(tables, tmp_path):
+    # n = 3 levels padded to 33 bytes each
+    path = tmp_path / "t.bin"
+    write_levels(path, 3, 0, gf2_n3_levels(tables), size=33)
+    with pytest.raises(CacheError, match="wrong length"):
         load_table(path)
 
 
 def test_code_in_two_strata_rejected(tables, tmp_path):
     # the total count still matches the code space
-    strata = gf2_n3_strata(tables)
-    moved = strata[2][0]
-    strata[3] = sorted(strata[3][1:] + [moved])
+    levels = gf2_n3_levels(tables)
+    levels[3] ^= lowest(levels[3]) | lowest(levels[2])
     path = tmp_path / "t.bin"
-    write_strata(path, 3, 0, strata)
+    write_levels(path, 3, 0, levels)
     with pytest.raises(CacheError, match="partition"):
         load_table(path)
 
 
 def test_wrong_stratum_zero_rejected(tables, tmp_path):
-    strata = gf2_n3_strata(tables)
-    strata[0], strata[3][0] = [strata[3][0]], 0
-    strata[3].sort()
+    levels = gf2_n3_levels(tables)
+    moved = lowest(levels[3])
+    levels[0], levels[3] = moved, levels[3] ^ moved | 1
     path = tmp_path / "t.bin"
-    write_strata(path, 3, 0, strata)
+    write_levels(path, 3, 0, levels)
     with pytest.raises(CacheError, match="stratum 0"):
         load_table(path)
 
 
 def test_wrong_stratum_one_rejected(tables, tmp_path):
-    strata = gf2_n3_strata(tables)
-    strata[1][0], strata[2][0] = strata[2][0], strata[1][0]
-    strata[1].sort()
-    strata[2].sort()
+    levels = gf2_n3_levels(tables)
+    swapped = lowest(levels[1]) | lowest(levels[2])
+    levels[1] ^= swapped
+    levels[2] ^= swapped
     path = tmp_path / "t.bin"
-    write_strata(path, 3, 0, strata)
+    write_levels(path, 3, 0, levels)
     with pytest.raises(CacheError, match="stratum 1"):
         load_table(path)
 

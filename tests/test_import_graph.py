@@ -101,6 +101,27 @@ print(json.dumps(results))
         assert code == exit_code
 
 
+def test_every_module_and_the_serialiser_work_where_numpy_cannot_be_imported(tmp_path):
+    script = """
+import importlib, pkgutil, sys
+from pathlib import Path
+sys.modules["numpy"] = None
+import bitcube
+for m in pkgutil.iter_modules(bitcube.__path__):
+    importlib.import_module("bitcube." + m.name)
+from bitcube import Semiring, Shape, dump_table, load_table, stratify
+table = stratify(Shape(4), Semiring.NONNEG)
+dump_table(table, Path(sys.argv[1]) / "t.bin")
+print(load_table(Path(sys.argv[1]) / "t.bin") == table)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "True\n"
+
+
 def test_rank_loads_only_what_it_runs(tmp_path):
     code, modules = loaded_modules(
         tmp_path, "rank", "--n", "4", "--semiring", "gf2", "0110101110111101"

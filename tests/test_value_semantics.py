@@ -31,6 +31,10 @@ def _table():
     return stratify(Shape(3), Semiring.GF2)
 
 
+LEVELS = _table().levels
+PARTITION = "levels do not partition the code space, or one is empty"
+
+
 # (a value, an equal value built separately, an unequal value)
 VALUES = {
     "Shape": lambda: (Shape(3), Shape(3), Shape(4)),
@@ -128,6 +132,28 @@ REJECTED = [
     (ArrayCode, (5, Shape(3)), "code", 5.0, TypeError, FLOAT),
     (GroupElement, (SWAP,), "rows", ((1.0, 0), (0, 1)), TypeError, FLOAT),
     (AxisPermutation, ((2, 1, 3),), "perm", (1.0, 2.0, 3.0), TypeError, FLOAT),
+    # a shape that is not a Shape, and each kind of invalid rank-table field
+    (ArrayCode, (5, Shape(3)), "shape", 3, TypeError, "shape must be a Shape, got int"),
+    (ArrayCode, (5, Shape(3)), "shape", (3,), TypeError,
+     "shape must be a Shape, got tuple"),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "shape", 3, TypeError,
+     "shape must be a Shape, got int"),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "semiring", "z2", ValueError,
+     "'z2' is not a valid Semiring"),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "levels", (), ValueError,
+     "stratum 0 is not the zero array alone"),
+    # a code left out, a code out of range in its place, a code in two
+    # levels, an empty level
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "levels", LEVELS[:-1], ValueError,
+     PARTITION),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "levels",
+     (*LEVELS[:-1], LEVELS[-1] & LEVELS[-1] - 1 | 1 << 256), ValueError, PARTITION),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "levels", (*LEVELS, 1 << 255), ValueError,
+     PARTITION),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "levels", (*LEVELS, 0), ValueError,
+     PARTITION),
+    (RankTable, (Shape(3), Semiring.GF2, LEVELS), "levels", (1.0, *LEVELS[1:]), TypeError,
+     FLOAT),
 ]
 
 
@@ -177,6 +203,9 @@ def test_any_integer_type_is_stored_as_a_plain_int():
         assert value == plain and repr(value) == repr(plain)
         assert all(type(leaf) is int for leaf in _leaves(value))
     assert stratify(Shape(Index(3)), Semiring.GF2) is _table()
+    table = RankTable(Shape(3), "gf2", map(Index, LEVELS))
+    assert table == _table() and table.semiring is Semiring.GF2
+    assert all(type(level) is int for level in table.levels)
 
 
 def test_rank_table_is_a_tuple_of_its_fields():
