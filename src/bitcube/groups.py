@@ -25,67 +25,23 @@ A class's least node holds its canonical form.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Literal, NamedTuple
 
-from .arrays import ArrayCode, Shape, UnsupportedShapeError, _Checked
+from .arrays import ArrayCode, Shape, UnsupportedShapeError
 from .ranks import RankTable, Semiring, _cube_generators
 
 GroupKind = Literal["small", "large"]
 
 
-class GroupElement(_Checked, NamedTuple("GroupElement", [("rows", tuple)])):
-    """An invertible 2x2 matrix over {0, 1}, stored as two rows."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[tuple[int, int], tuple[int, int]]) -> GroupElement:
-        (a, b), (c, d) = rows = tuple(tuple(map(operator.index, row)) for row in rows)
-        if {a, b, c, d} - {0, 1}:
-            raise ValueError(f"entries must be 0 or 1, got {rows}")
-        if (a & d) ^ (b & c) != 1:
-            raise ValueError(f"matrix {rows} is singular mod 2")
-        return tuple.__new__(cls, (rows,))
-
-
-#: The six invertible matrices in lexicographic order of their entries.
-GL2_F2: tuple[GroupElement, ...] = tuple(
-    GroupElement(((a, b), (c, d)))
+#: The six invertible matrices over {0, 1}, each as its two rows
+#: ((a, b), (c, d)), in lexicographic order of their entries.
+GL2_F2: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
+    ((a, b), (c, d))
     for a, b, c, d in itertools.product((0, 1), repeat=4)
     if (a & d) ^ (b & c) == 1
 )
-
-#: A generating pair: an order-2 and an order-3 element.
-GL2_GENERATORS: tuple[GroupElement, ...] = (GL2_F2[0], GL2_F2[1])
-
-
-class AxisPermutation(_Checked, NamedTuple("AxisPermutation", [("perm", tuple)])):
-    """A bijection of the n directions; perm[j-1] is the image of j."""
-
-    __slots__ = ()
-
-    def __new__(cls, perm: tuple[int, ...]) -> AxisPermutation:
-        perm = tuple(map(operator.index, perm))
-        n = len(perm)
-        if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{n}")
-        return tuple.__new__(cls, (perm,))
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "AxisPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-
-def all_axis_permutations(n: int) -> tuple[AxisPermutation, ...]:
-    return tuple(
-        AxisPermutation(p) for p in itertools.permutations(range(1, n + 1))
-    )
 
 
 class OrbitRecord(NamedTuple):
@@ -124,11 +80,11 @@ def _linear_table(images: list[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _axis_images(g: GroupElement, direction: int, n: int) -> list[int]:
+def _axis_images(g: tuple, direction: int, n: int) -> list[int]:
     # code bit b holds an entry at subscript 1 along the direction iff b & s;
     # the entry at subscript 2 of the same line is then bit b - s
     s = 1 << (n - direction)
-    (g11, g12), (g21, g22) = g.rows
+    (g11, g12), (g21, g22) = g
     return [g11 << b | g21 << (b - s) if b & s else g12 << (b + s) | g22 << b
             for b in range(1 << n)]
 

@@ -233,9 +233,11 @@ def _stratify(n: int, semiring: Semiring) -> RankTable:
 def stratify(shape: Shape, semiring: Semiring) -> RankTable:
     """Stratify the full code space of a shape by exact rank.
 
+    The semiring may be given as a Semiring or its tag, as for RankTable.
     Only n = 3 and n = 4 are supported: one level for n = 5 would already
     be a 2**32-bit int.
     """
+    shape, semiring = _checked_shape(shape), Semiring(semiring)
     if shape.n not in (3, 4):
         raise UnsupportedShapeError(
             f"stratification supports dimensions 3 and 4, got {shape.n}"

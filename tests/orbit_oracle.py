@@ -1,9 +1,10 @@
 """Independent orbit oracle: scalar group actions and full orbit expansion.
 
-Shares no code with bitcube.groups, whose value types (GroupElement,
-AxisPermutation) it uses only as containers.  The actions are written cell
-by cell from their definitions on subscript tuples, and orbits are expanded
-over every group element rather than closed under a generator set:
+Shares no code with bitcube.groups and uses none of its types: a matrix
+is its pair of rows ((a, b), (c, d)), and a direction permutation p is the
+tuple of images of 1..n, p[j-1] the image of j.  The actions are written
+cell by cell from their definitions on subscript tuples, and orbits are
+expanded over every group element rather than closed under a generator set:
 
 - a matrix g acting along direction d replaces the 2-vector of entries
   (x[.., 1, ..], x[.., 2, ..]) in that direction by g times it, mod 2;
@@ -28,30 +29,31 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from bitcube import ArrayCode, AxisPermutation, GroupElement, Shape
+from bitcube import ArrayCode, Shape
 from bitcube.groups import _axis_images, _linear_table
 from bitcube.ranks import _permuted_cells
 
 
-def matmul(g: GroupElement, h: GroupElement) -> GroupElement:
+Matrix = tuple[tuple[int, int], tuple[int, int]]
+
+
+def matmul(g: Matrix, h: Matrix) -> Matrix:
     """Matrix product g·h mod 2."""
-    (a, b), (c, d) = g.rows
-    (e, f), (x, y) = h.rows
-    return GroupElement(
-        (((a & e) ^ (b & x), (a & f) ^ (b & y)),
-         ((c & e) ^ (d & x), (c & f) ^ (d & y)))
-    )
+    (a, b), (c, d) = g
+    (e, f), (x, y) = h
+    return (((a & e) ^ (b & x), (a & f) ^ (b & y)),
+            ((c & e) ^ (d & x), (c & f) ^ (d & y)))
 
 
-def apply_vec(g: GroupElement, v: tuple[int, int]) -> tuple[int, int]:
+def apply_vec(g: Matrix, v: tuple[int, int]) -> tuple[int, int]:
     """Image of a column 2-vector under the matrix, mod 2."""
-    (a, b), (c, d) = g.rows
+    (a, b), (c, d) = g
     return ((a & v[0]) ^ (b & v[1]), (c & v[0]) ^ (d & v[1]))
 
 
 #: All invertible 2x2 matrices over {0, 1}, enumerated by determinant.
-MATRICES: tuple[GroupElement, ...] = tuple(
-    GroupElement(((a, b), (c, d)))
+MATRICES: tuple[Matrix, ...] = tuple(
+    ((a, b), (c, d))
     for a, b, c, d in itertools.product((0, 1), repeat=4)
     if (a * d - b * c) % 2 == 1
 )
@@ -85,20 +87,20 @@ def _apply(masks: tuple[int, ...], code: int) -> int:
     return out
 
 
-def act_axis(g: GroupElement, a: ArrayCode, direction: int) -> ArrayCode:
+def act_axis(g: Matrix, a: ArrayCode, direction: int) -> ArrayCode:
     """Basis change along one direction: each 2-vector of that direction is
     left-multiplied by the matrix, mod 2."""
     if not 1 <= direction <= a.shape.n:
         raise ValueError(f"direction must be in 1..{a.shape.n}, got {direction}")
-    return ArrayCode(_apply(_axis_masks(g.rows, direction, a.shape.n), a.code), a.shape)
+    return ArrayCode(_apply(_axis_masks(g, direction, a.shape.n), a.code), a.shape)
 
 
-def act_permutation(p: AxisPermutation, a: ArrayCode) -> ArrayCode:
+def act_permutation(p: tuple[int, ...], a: ArrayCode) -> ArrayCode:
     """Transpose subscripts: the entry at (i_1, ..., i_n) moves from
-    position (i_p(1), ..., i_p(n)); p.perm[j-1] is the image of j."""
-    if len(p.perm) != a.shape.n:
-        raise ValueError(f"permutation acts on {len(p.perm)} directions, code has {a.shape.n}")
-    return ArrayCode(_apply(_permutation_masks(p.perm, a.shape.n), a.code), a.shape)
+    position (i_p(1), ..., i_p(n)); p[j-1] is the image of j."""
+    if len(p) != a.shape.n:
+        raise ValueError(f"permutation acts on {len(p)} directions, code has {a.shape.n}")
+    return ArrayCode(_apply(_permutation_masks(p, a.shape.n), a.code), a.shape)
 
 
 @lru_cache(maxsize=None)
@@ -114,14 +116,15 @@ def _cube_masks(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _permutations(n: int) -> list[AxisPermutation]:
-    return [AxisPermutation(p) for p in itertools.permutations(range(1, n + 1))]
+def permutations(n: int) -> list[tuple[int, ...]]:
+    """Every direction permutation of n directions, as tuples of images."""
+    return list(itertools.permutations(range(1, n + 1)))
 
 
 def _small_orbit_codes(code: int, n: int) -> list[int]:
     current = {code}
     for direction in range(1, n + 1):
-        masks = [_axis_masks(g.rows, direction, n) for g in MATRICES]
+        masks = [_axis_masks(g, direction, n) for g in MATRICES]
         current = {_apply(m, x) for m in masks for x in current}
     return sorted(current)
 
@@ -134,7 +137,7 @@ def small_orbit_naive(a: ArrayCode) -> tuple[ArrayCode, ...]:
 def large_orbit_naive(a: ArrayCode) -> tuple[ArrayCode, ...]:
     """Union of naive small orbits over all direction permutations."""
     out: set[ArrayCode] = set()
-    for p in _permutations(a.shape.n):
+    for p in permutations(a.shape.n):
         out.update(small_orbit_naive(act_permutation(p, a)))
     return tuple(sorted(out))
 
@@ -151,7 +154,7 @@ class OrbitMinima:
 
     def __init__(self, n: int):
         self.shape = Shape(n)
-        self._perms = _permutations(n)
+        self._perms = permutations(n)
         self._small: dict[int, int] = {}
         self._large: dict[int, int] = {}
         self._cube: dict[int, frozenset[int]] = {}
@@ -192,14 +195,14 @@ def _array(images: list[int]):
 
 
 @lru_cache(maxsize=None)
-def axis_action_table(g: GroupElement, direction: int, n: int):
+def axis_action_table(g: Matrix, direction: int, n: int):
     """Image of every code under one matrix acting along one direction, as a
     read-only numpy array."""
     return _array(_axis_images(g, direction, n))
 
 
 @lru_cache(maxsize=None)
-def permutation_action_table(p: AxisPermutation, n: int):
+def permutation_action_table(p: tuple[int, ...], n: int):
     """Image of every code under one direction permutation, as a read-only
     numpy array."""
-    return _array([1 << c for c in _permuted_cells(p.perm, n)])
+    return _array([1 << c for c in _permuted_cells(p, n)])

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,26 @@ print("checked", len(bitcube.__all__))
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == f"1\nchecked {len(bitcube.__all__)}\n"
+
+
+@pytest.mark.parametrize(
+    "name", ["GroupElement", "AxisPermutation", "all_axis_permutations", "GL2_GENERATORS"])
+def test_removed_group_names_are_gone(name):
+    # the matrices are plain row pairs and the direction permutations are
+    # itertools.permutations(range(1, n + 1)); no value class stands for them
+    with pytest.raises(ImportError):
+        exec(f"from bitcube import {name}", {})
+    assert name not in bitcube.__all__
+    assert not hasattr(import_module("bitcube.groups"), name)
+
+
+def test_matrices_are_the_six_row_pairs():
+    assert bitcube.GL2_F2 == (
+        ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 1)),
+        ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, 1), (1, 0)),
+    )
+    assert all(type(g) is tuple and type(g[0]) is tuple for g in bitcube.GL2_F2)
+    assert len(bitcube.__all__) == 35
 
 
 def test_bare_import_loads_no_submodule_and_each_submodule_binds_itself(tmp_path):

@@ -52,6 +52,22 @@ def test_semiring_tags():
         Semiring("real")
 
 
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("semiring", Semiring)
+def test_stratify_by_tag_is_stratify_by_member(n, semiring):
+    # a tag is coerced before the table is computed and cached, so it gets
+    # the member's table, not one computed under another addition rule
+    assert stratify(Shape(n), semiring.value) is stratify(Shape(n), semiring)
+
+
+def test_stratify_rejects_other_shapes_and_unknown_tags():
+    assert stratify(S4, "gf2").stratum_sizes == (1, 81, 2268, 21744, 37530, 3888, 24)
+    with pytest.raises(TypeError, match="^shape must be a Shape, got tuple$"):
+        stratify((4,), Semiring.GF2)
+    with pytest.raises(ValueError, match="'z2' is not a valid Semiring"):
+        stratify(S3, "z2")
+
+
 # Stratum sizes are asserted against the reference dataset in
 # test_acceptance; here we pin the structural invariants.
 

@@ -12,8 +12,6 @@ import pytest
 
 from bitcube import (
     ArrayCode,
-    AxisPermutation,
-    GroupElement,
     RankTable,
     Semiring,
     Shape,
@@ -22,8 +20,6 @@ from bitcube import (
     stratify,
 )
 
-SWAP = ((0, 1), (1, 0))
-SINGULAR = ((1, 1), (1, 1))
 FLOAT = "'float' object cannot be interpreted as an integer"
 
 
@@ -42,17 +38,12 @@ VALUES = {
                           ArrayCode(5, Shape(4))),
     "RankTable": lambda: (_table(), RankTable(Shape(3), Semiring.GF2, _table().levels),
                           stratify(Shape(3), Semiring.BOOLEAN)),
-    "GroupElement": lambda: (GroupElement(SWAP), GroupElement(SWAP),
-                             GroupElement(((1, 0), (0, 1)))),
-    "AxisPermutation": lambda: (AxisPermutation((2, 1, 3)), AxisPermutation((2, 1, 3)),
-                                AxisPermutation((1, 2, 3))),
 }
 
 
 def _fields(value):
     return {Shape: ("n",), ArrayCode: ("code", "shape"),
-            RankTable: ("shape", "semiring", "levels"), GroupElement: ("rows",),
-            AxisPermutation: ("perm",)}[type(value)]
+            RankTable: ("shape", "semiring", "levels")}[type(value)]
 
 
 @pytest.mark.parametrize("kind", VALUES)
@@ -81,8 +72,6 @@ def test_no_attribute_can_be_assigned(kind):
 def test_repr_names_every_field():
     assert repr(Shape(3)) == "Shape(n=3)"
     assert repr(ArrayCode(5, Shape(3))) == "ArrayCode(code=5, shape=Shape(n=3))"
-    assert repr(GroupElement(SWAP)) == "GroupElement(rows=((0, 1), (1, 0)))"
-    assert repr(AxisPermutation((2, 1, 3))) == "AxisPermutation(perm=(2, 1, 3))"
     table = _table()
     assert repr(table) == (
         "RankTable(shape=Shape(n=3), semiring=<Semiring.GF2: 'gf2'>, "
@@ -90,12 +79,9 @@ def test_repr_names_every_field():
     )
 
 
-def test_shapes_and_group_elements_are_ordered():
+def test_shapes_are_ordered():
     assert Shape(3) < Shape(4) <= Shape(4) < Shape(6)
     assert max(Shape(5), Shape(3), Shape(4)) == Shape(5)
-    elements = [GroupElement(rows) for rows in (SWAP, ((1, 0), (0, 1)), ((0, 1), (1, 1)))]
-    assert sorted(elements) == sorted(elements, key=lambda g: g.rows)
-    assert GroupElement(((0, 1), (1, 0))) < GroupElement(((0, 1), (1, 1)))
 
 
 def test_code_comparisons_reject_other_shapes_and_types():
@@ -120,18 +106,10 @@ REJECTED = [
      "code 256 out of range for dimension 3"),
     (ArrayCode, (5, Shape(3)), "code", -1, ValueError,
      "code -1 out of range for dimension 3"),
-    (GroupElement, (SWAP,), "rows", SINGULAR, ValueError,
-     "matrix ((1, 1), (1, 1)) is singular mod 2"),
-    (GroupElement, (SWAP,), "rows", ((2, 0), (0, 1)), ValueError,
-     "entries must be 0 or 1, got ((2, 0), (0, 1))"),
-    (AxisPermutation, ((2, 1, 3),), "perm", (1, 1, 3), ValueError,
-     "(1, 1, 3) is not a permutation of 1..3"),
     # integer fields take integers only: a float raises, even a whole one
     (Shape, (3,), "n", 3.5, TypeError, FLOAT),
     (Shape, (3,), "n", 4.0, TypeError, FLOAT),
     (ArrayCode, (5, Shape(3)), "code", 5.0, TypeError, FLOAT),
-    (GroupElement, (SWAP,), "rows", ((1.0, 0), (0, 1)), TypeError, FLOAT),
-    (AxisPermutation, ((2, 1, 3),), "perm", (1.0, 2.0, 3.0), TypeError, FLOAT),
     # a shape that is not a Shape, and each kind of invalid rank-table field
     (ArrayCode, (5, Shape(3)), "shape", 3, TypeError, "shape must be a Shape, got int"),
     (ArrayCode, (5, Shape(3)), "shape", (3,), TypeError,
@@ -193,9 +171,6 @@ def test_any_integer_type_is_stored_as_a_plain_int():
     values = [
         (Shape(Index(4)), Shape(4)),
         (ArrayCode(Index(5), Shape(3)), ArrayCode(5, Shape(3))),
-        (GroupElement(((Index(0), Index(1)), (Index(1), Index(0)))), GroupElement(SWAP)),
-        (GroupElement(((False, True), (True, False))), GroupElement(SWAP)),
-        (AxisPermutation((Index(2), Index(1), Index(3))), AxisPermutation((2, 1, 3))),
         (Shape(3)._replace(n=Index(4)), Shape(4)),
         (ArrayCode._make((Index(5), Shape(3))), ArrayCode(5, Shape(3))),
     ]
