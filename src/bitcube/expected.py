@@ -3,7 +3,8 @@
 Everything `verify` compares against lives here, as one auditable dataset:
 stratum sizes, orbit tables, the orbit splitting report, the rank/ones
 partition tables and the orbit-count lower bounds.  Canonical forms and
-representatives are stored as 0/1 strings in linearization order.
+representatives are stored as 0/1 strings in linearization order.  The
+long tables are text, one row of whitespace-separated values per line.
 
 Each field of the default dataset is an independent constant; `verify_all`
 compares one computed quantity against one field, so a single tampered
@@ -33,6 +34,18 @@ class ReferenceData(NamedTuple):
     boolean_equals_nonneg_at_3: bool = True
 
 
+def _rows(text: str, *fields) -> tuple[tuple, ...]:
+    """A table held as text: one row per line, its whitespace-separated
+    values converted by `fields` in turn."""
+    return tuple(tuple(f(v) for f, v in zip(fields, line.split(), strict=True))
+                 for line in text.strip().splitlines())
+
+
+def _parts(text: str) -> tuple[tuple[int, int], ...]:
+    # "3x18+1x54" is ((3, 18), (1, 54))
+    return tuple(tuple(map(int, part.split("x"))) for part in text.split("+"))
+
+
 # Counts of arrays of each exact rank, per (dimension, semiring tag).
 _STRATUM_SIZES = {
     (3, "gf2"): (1, 27, 162, 66),
@@ -43,259 +56,260 @@ _STRATUM_SIZES = {
     (4, "nat"): (1, 81, 1756, 12848, 28788, 17568, 3908, 560, 26),
 }
 
-# Large-group orbits as (rank, size, canonical form), in classification
+# Large-group orbits as rank, size and canonical form, in classification
 # order: ascending rank, then ascending canonical code.
-_LARGE_ORBITS_3 = (
-    (0, 1, "00000000"),
-    (1, 27, "00000001"),
-    (2, 54, "00000110"),
-    (2, 108, "00011000"),
-    (3, 54, "00010110"),
-    (3, 12, "01101011"),
-)
+_LARGE_ORBITS_3 = _rows("""
+    0   1 00000000
+    1  27 00000001
+    2  54 00000110
+    2 108 00011000
+    3  54 00010110
+    3  12 01101011
+""", int, int, str)
 
-_LARGE_ORBITS_4 = (
-    (0, 1, "0000000000000000"),
-    (1, 81, "0000000000000001"),
-    (2, 324, "0000000000000110"),
-    (2, 1296, "0000000000011000"),
-    (2, 648, "0000000110000000"),
-    (3, 648, "0000000000010110"),
-    (3, 144, "0000000001101011"),
-    (3, 3888, "0000000100011000"),
-    (3, 2592, "0000000100101100"),
-    (3, 2592, "0000000101101010"),
-    (3, 3888, "0000000110000010"),
-    (3, 7776, "0000000110000110"),
-    (3, 216, "0001100011101111"),
-    (4, 162, "0000000100010110"),
-    (4, 2592, "0000000101101000"),
-    (4, 5184, "0000000110010110"),
-    (4, 108, "0000011001100000"),
-    (4, 972, "0000011001100001"),
-    (4, 1944, "0000011001100010"),
-    (4, 1944, "0000011001110010"),
-    (4, 7776, "0000011001111000"),
-    (4, 1296, "0000011010110000"),
-    (4, 7776, "0000011010110001"),
-    (4, 3888, "0001011010000011"),
-    (4, 3888, "0001011010001011"),
-    (5, 648, "0000011001101011"),
-    (5, 648, "0001011001101000"),
-    (5, 1296, "0001011001101001"),
-    (5, 1296, "0001011010000001"),
-    (6, 24, "0110101110111101"),
-)
+_LARGE_ORBITS_4 = _rows("""
+    0    1 0000000000000000
+    1   81 0000000000000001
+    2  324 0000000000000110
+    2 1296 0000000000011000
+    2  648 0000000110000000
+    3  648 0000000000010110
+    3  144 0000000001101011
+    3 3888 0000000100011000
+    3 2592 0000000100101100
+    3 2592 0000000101101010
+    3 3888 0000000110000010
+    3 7776 0000000110000110
+    3  216 0001100011101111
+    4  162 0000000100010110
+    4 2592 0000000101101000
+    4 5184 0000000110010110
+    4  108 0000011001100000
+    4  972 0000011001100001
+    4 1944 0000011001100010
+    4 1944 0000011001110010
+    4 7776 0000011001111000
+    4 1296 0000011010110000
+    4 7776 0000011010110001
+    4 3888 0001011010000011
+    4 3888 0001011010001011
+    5  648 0000011001101011
+    5  648 0001011001101000
+    5 1296 0001011001101001
+    5 1296 0001011010000001
+    6   24 0110101110111101
+""", int, int, str)
 
-# Splitting of each large orbit into small orbits: (index, ((count, size), ...)).
-# An entry (1, size) marks a large orbit that already is a small orbit.
-_ORBIT_SPLITS_3 = (
-    (1, ((1, 1),)),
-    (2, ((1, 27),)),
-    (3, ((3, 18),)),
-    (4, ((1, 108),)),
-    (5, ((1, 54),)),
-    (6, ((1, 12),)),
-)
+# Splitting of each large orbit into small orbits: its index, then its parts
+# as count x size, joined by "+" in ascending size.  A part 1xsize marks a
+# large orbit that already is a small orbit.
+_ORBIT_SPLITS_3 = _rows("""
+    1 1x1
+    2 1x27
+    3 3x18
+    4 1x108
+    5 1x54
+    6 1x12
+""", int, _parts)
 
-_ORBIT_SPLITS_4 = (
-    (1, ((1, 1),)),
-    (2, ((1, 81),)),
-    (3, ((6, 54),)),
-    (4, ((4, 324),)),
-    (5, ((1, 648),)),
-    (6, ((4, 162),)),
-    (7, ((4, 36),)),
-    (8, ((6, 648),)),
-    (9, ((4, 648),)),
-    (10, ((4, 648),)),
-    (11, ((3, 1296),)),
-    (12, ((6, 1296),)),
-    (13, ((1, 216),)),
-    (14, ((1, 162),)),
-    (15, ((4, 648),)),
-    (16, ((4, 1296),)),
-    (17, ((3, 36),)),
-    (18, ((3, 324),)),
-    (19, ((6, 324),)),
-    (20, ((3, 648),)),
-    (21, ((12, 648),)),
-    (22, ((6, 216),)),
-    (23, ((6, 1296),)),
-    (24, ((3, 1296),)),
-    (25, ((6, 648),)),
-    (26, ((6, 108),)),
-    (27, ((1, 648),)),
-    (28, ((1, 1296),)),
-    (29, ((1, 1296),)),
-    (30, ((1, 24),)),
-)
+_ORBIT_SPLITS_4 = _rows("""
+     1 1x1
+     2 1x81
+     3 6x54
+     4 4x324
+     5 1x648
+     6 4x162
+     7 4x36
+     8 6x648
+     9 4x648
+    10 4x648
+    11 3x1296
+    12 6x1296
+    13 1x216
+    14 1x162
+    15 4x648
+    16 4x1296
+    17 3x36
+    18 3x324
+    19 6x324
+    20 3x648
+    21 12x648
+    22 6x216
+    23 6x1296
+    24 3x1296
+    25 6x648
+    26 6x108
+    27 1x648
+    28 1x1296
+    29 1x1296
+    30 1x24
+""", int, _parts)
 
 # The rank-2 large orbit of size 54 at n = 3 splits into three small orbits
 # of size 18; their canonical forms, ascending.
-_RANK2_SMALL_SPLIT_3 = (
-    ("00000110", 18),
-    ("00010010", 18),
-    ("00010100", 18),
-)
+_RANK2_SMALL_SPLIT_3 = _rows("""
+    00000110 18
+    00010010 18
+    00010100 18
+""", str, int)
 
-# Rank/ones partitions as (rank, ones, count, minimal representative).
-_PARTITION_3_BOOL = (
-    (0, 0, 1, "00000000"),
-    (1, 1, 8, "00000001"),
-    (1, 2, 12, "00000011"),
-    (1, 4, 6, "00001111"),
-    (1, 8, 1, "11111111"),
-    (2, 2, 16, "00000110"),
-    (2, 3, 48, "00000111"),
-    (2, 4, 30, "00011011"),
-    (2, 5, 24, "00011111"),
-    (2, 6, 12, "00111111"),
-    (3, 3, 8, "00010110"),
-    (3, 4, 32, "00010111"),
-    (3, 5, 24, "00111101"),
-    (3, 6, 16, "01101111"),
-    (3, 7, 8, "01111111"),
-    (4, 4, 2, "01101001"),
-    (4, 5, 8, "01101011"),
-)
+# Rank/ones partitions as rank, ones, count and minimal representative.
+_PARTITION_3_BOOL = _rows("""
+    0 0  1 00000000
+    1 1  8 00000001
+    1 2 12 00000011
+    1 4  6 00001111
+    1 8  1 11111111
+    2 2 16 00000110
+    2 3 48 00000111
+    2 4 30 00011011
+    2 5 24 00011111
+    2 6 12 00111111
+    3 3  8 00010110
+    3 4 32 00010111
+    3 5 24 00111101
+    3 6 16 01101111
+    3 7  8 01111111
+    4 4  2 01101001
+    4 5  8 01101011
+""", int, int, int, str)
 
-_PARTITION_4_BOOL = (
-    (0, 0, 1, "0000000000000000"),
-    (1, 1, 16, "0000000000000001"),
-    (1, 2, 32, "0000000000000011"),
-    (1, 4, 24, "0000000000001111"),
-    (1, 8, 8, "0000000011111111"),
-    (1, 16, 1, "1111111111111111"),
-    (2, 2, 88, "0000000000000110"),
-    (2, 3, 352, "0000000000000111"),
-    (2, 4, 352, "0000000000011011"),
-    (2, 5, 288, "0000000000011111"),
-    (2, 6, 384, "0000000000111111"),
-    (2, 7, 48, "0000001101010111"),
-    (2, 8, 108, "0000001111001111"),
-    (2, 9, 64, "0000000111111111"),
-    (2, 10, 96, "0000001111111111"),
-    (2, 12, 24, "0000111111111111"),
-    (3, 3, 208, "0000000000010110"),
-    (3, 4, 1216, "0000000000010111"),
-    (3, 5, 2304, "0000000000111101"),
-    (3, 6, 2512, "0000000001101111"),
-    (3, 7, 2656, "0000000001111111"),
-    (3, 8, 1904, "0000000111101111"),
-    (3, 9, 1056, "0000001111011111"),
-    (3, 10, 656, "0000011011111111"),
-    (3, 11, 576, "0000011111111111"),
-    (3, 12, 256, "0001101111111111"),
-    (3, 13, 96, "0001111111111111"),
-    (3, 14, 32, "0011111111111111"),
-    (4, 4, 228, "0000000001101001"),
-    (4, 5, 1648, "0000000001101011"),
-    (4, 6, 4048, "0000000100111110"),
-    (4, 7, 5856, "0000000101101111"),
-    (4, 8, 6304, "0000000101111111"),
-    (4, 9, 5200, "0000001101111111"),
-    (4, 10, 3200, "0000011110111111"),
-    (4, 11, 1408, "0000111111110111"),
-    (4, 12, 652, "0001011111111111"),
-    (4, 13, 256, "0011110111111111"),
-    (4, 14, 88, "0110111111111111"),
-    (4, 15, 16, "0111111111111111"),
-    (5, 5, 128, "0000000110010110"),
-    (5, 6, 1008, "0000000110010111"),
-    (5, 7, 2416, "0000001101101101"),
-    (5, 8, 3568, "0000011001101111"),
-    (5, 9, 4016, "0000011001111111"),
-    (5, 10, 3088, "0000011101111111"),
-    (5, 11, 1888, "0001011111101111"),
-    (5, 12, 712, "0001111111110111"),
-    (5, 13, 208, "0110101111111111"),
-    (6, 6, 56, "0000011001101001"),
-    (6, 7, 448, "0000011001101011"),
-    (6, 8, 848, "0000011101111001"),
-    (6, 9, 928, "0001011001101111"),
-    (6, 10, 848, "0001011001111111"),
-    (6, 11, 416, "0001011101111111"),
-    (6, 12, 160, "0110101111011111"),
-    (7, 7, 16, "0001011001101001"),
-    (7, 8, 128, "0001011001101011"),
-    (7, 9, 160, "0001011111101001"),
-    (7, 10, 112, "0011110111010110"),
-    (7, 11, 80, "0110100110111111"),
-    (7, 12, 16, "0110101110111111"),
-    (8, 8, 2, "0110100110010110"),
-    (8, 9, 16, "0110100110010111"),
-    (8, 10, 8, "0110101111010110"),
-)
+_PARTITION_4_BOOL = _rows("""
+    0  0    1 0000000000000000
+    1  1   16 0000000000000001
+    1  2   32 0000000000000011
+    1  4   24 0000000000001111
+    1  8    8 0000000011111111
+    1 16    1 1111111111111111
+    2  2   88 0000000000000110
+    2  3  352 0000000000000111
+    2  4  352 0000000000011011
+    2  5  288 0000000000011111
+    2  6  384 0000000000111111
+    2  7   48 0000001101010111
+    2  8  108 0000001111001111
+    2  9   64 0000000111111111
+    2 10   96 0000001111111111
+    2 12   24 0000111111111111
+    3  3  208 0000000000010110
+    3  4 1216 0000000000010111
+    3  5 2304 0000000000111101
+    3  6 2512 0000000001101111
+    3  7 2656 0000000001111111
+    3  8 1904 0000000111101111
+    3  9 1056 0000001111011111
+    3 10  656 0000011011111111
+    3 11  576 0000011111111111
+    3 12  256 0001101111111111
+    3 13   96 0001111111111111
+    3 14   32 0011111111111111
+    4  4  228 0000000001101001
+    4  5 1648 0000000001101011
+    4  6 4048 0000000100111110
+    4  7 5856 0000000101101111
+    4  8 6304 0000000101111111
+    4  9 5200 0000001101111111
+    4 10 3200 0000011110111111
+    4 11 1408 0000111111110111
+    4 12  652 0001011111111111
+    4 13  256 0011110111111111
+    4 14   88 0110111111111111
+    4 15   16 0111111111111111
+    5  5  128 0000000110010110
+    5  6 1008 0000000110010111
+    5  7 2416 0000001101101101
+    5  8 3568 0000011001101111
+    5  9 4016 0000011001111111
+    5 10 3088 0000011101111111
+    5 11 1888 0001011111101111
+    5 12  712 0001111111110111
+    5 13  208 0110101111111111
+    6  6   56 0000011001101001
+    6  7  448 0000011001101011
+    6  8  848 0000011101111001
+    6  9  928 0001011001101111
+    6 10  848 0001011001111111
+    6 11  416 0001011101111111
+    6 12  160 0110101111011111
+    7  7   16 0001011001101001
+    7  8  128 0001011001101011
+    7  9  160 0001011111101001
+    7 10  112 0011110111010110
+    7 11   80 0110100110111111
+    7 12   16 0110101110111111
+    8  8    2 0110100110010110
+    8  9   16 0110100110010111
+    8 10    8 0110101111010110
+""", int, int, int, str)
 
-_PARTITION_4_NAT = (
-    (0, 0, 1, "0000000000000000"),
-    (1, 1, 16, "0000000000000001"),
-    (1, 2, 32, "0000000000000011"),
-    (1, 4, 24, "0000000000001111"),
-    (1, 8, 8, "0000000011111111"),
-    (1, 16, 1, "1111111111111111"),
-    (2, 2, 88, "0000000000000110"),
-    (2, 3, 352, "0000000000000111"),
-    (2, 4, 352, "0000000000011011"),
-    (2, 5, 288, "0000000000011111"),
-    (2, 6, 384, "0000000000111111"),
-    (2, 8, 108, "0000001111001111"),
-    (2, 9, 64, "0000000111111111"),
-    (2, 10, 96, "0000001111111111"),
-    (2, 12, 24, "0000111111111111"),
-    (3, 3, 208, "0000000000010110"),
-    (3, 4, 1216, "0000000000010111"),
-    (3, 5, 2304, "0000000000111101"),
-    (3, 6, 2512, "0000000001101111"),
-    (3, 7, 2704, "0000000001111111"),
-    (3, 8, 1664, "0000000111101111"),
-    (3, 9, 864, "0000001111011111"),
-    (3, 10, 608, "0000011011111111"),
-    (3, 11, 384, "0000011111111111"),
-    (3, 12, 256, "0001101111111111"),
-    (3, 13, 96, "0001111111111111"),
-    (3, 14, 32, "0011111111111111"),
-    (4, 4, 228, "0000000001101001"),
-    (4, 5, 1648, "0000000001101011"),
-    (4, 6, 4048, "0000000100111110"),
-    (4, 7, 5856, "0000000101101111"),
-    (4, 8, 6544, "0000000101111111"),
-    (4, 9, 5104, "0000001101111111"),
-    (4, 10, 3056, "0000011110111111"),
-    (4, 11, 1504, "0000111111110111"),
-    (4, 12, 448, "0001011111111111"),
-    (4, 13, 256, "0011110111111111"),
-    (4, 14, 80, "0110111111111111"),
-    (4, 15, 16, "0111111111111111"),
-    (5, 5, 128, "0000000110010110"),
-    (5, 6, 1008, "0000000110010111"),
-    (5, 7, 2416, "0000001101101101"),
-    (5, 8, 3568, "0000011001101111"),
-    (5, 9, 4304, "0000011001111111"),
-    (5, 10, 3088, "0000011101111111"),
-    (5, 11, 1984, "0001011111101111"),
-    (5, 12, 904, "0001111111110111"),
-    (5, 13, 160, "0110101111111111"),
-    (5, 14, 8, "0111111111111110"),
-    (6, 6, 56, "0000011001101001"),
-    (6, 7, 448, "0000011001101011"),
-    (6, 8, 848, "0000011101111001"),
-    (6, 9, 928, "0001011001101111"),
-    (6, 10, 1040, "0001011001111111"),
-    (6, 11, 368, "0001011101111111"),
-    (6, 12, 172, "0110101111011111"),
-    (6, 13, 48, "0110111111110111"),
-    (7, 7, 16, "0001011001101001"),
-    (7, 8, 128, "0001011001101011"),
-    (7, 9, 160, "0001011111101001"),
-    (7, 10, 112, "0011110111010110"),
-    (7, 11, 128, "0110100110111111"),
-    (7, 12, 16, "0110101110111111"),
-    (8, 8, 2, "0110100110010110"),
-    (8, 9, 16, "0110100110010111"),
-    (8, 10, 8, "0110101111010110"),
-)
+_PARTITION_4_NAT = _rows("""
+    0  0    1 0000000000000000
+    1  1   16 0000000000000001
+    1  2   32 0000000000000011
+    1  4   24 0000000000001111
+    1  8    8 0000000011111111
+    1 16    1 1111111111111111
+    2  2   88 0000000000000110
+    2  3  352 0000000000000111
+    2  4  352 0000000000011011
+    2  5  288 0000000000011111
+    2  6  384 0000000000111111
+    2  8  108 0000001111001111
+    2  9   64 0000000111111111
+    2 10   96 0000001111111111
+    2 12   24 0000111111111111
+    3  3  208 0000000000010110
+    3  4 1216 0000000000010111
+    3  5 2304 0000000000111101
+    3  6 2512 0000000001101111
+    3  7 2704 0000000001111111
+    3  8 1664 0000000111101111
+    3  9  864 0000001111011111
+    3 10  608 0000011011111111
+    3 11  384 0000011111111111
+    3 12  256 0001101111111111
+    3 13   96 0001111111111111
+    3 14   32 0011111111111111
+    4  4  228 0000000001101001
+    4  5 1648 0000000001101011
+    4  6 4048 0000000100111110
+    4  7 5856 0000000101101111
+    4  8 6544 0000000101111111
+    4  9 5104 0000001101111111
+    4 10 3056 0000011110111111
+    4 11 1504 0000111111110111
+    4 12  448 0001011111111111
+    4 13  256 0011110111111111
+    4 14   80 0110111111111111
+    4 15   16 0111111111111111
+    5  5  128 0000000110010110
+    5  6 1008 0000000110010111
+    5  7 2416 0000001101101101
+    5  8 3568 0000011001101111
+    5  9 4304 0000011001111111
+    5 10 3088 0000011101111111
+    5 11 1984 0001011111101111
+    5 12  904 0001111111110111
+    5 13  160 0110101111111111
+    5 14    8 0111111111111110
+    6  6   56 0000011001101001
+    6  7  448 0000011001101011
+    6  8  848 0000011101111001
+    6  9  928 0001011001101111
+    6 10 1040 0001011001111111
+    6 11  368 0001011101111111
+    6 12  172 0110101111011111
+    6 13   48 0110111111110111
+    7  7   16 0001011001101001
+    7  8  128 0001011001101011
+    7  9  160 0001011111101001
+    7 10  112 0011110111010110
+    7 11  128 0110100110111111
+    7 12   16 0110101110111111
+    8  8    2 0110100110010110
+    8  9   16 0110100110010111
+    8 10    8 0110101111010110
+""", int, int, int, str)
 
 # Orbit-count lower bounds ceil(2**(2**n)/6**n) and ceil(2**(2**n)/(6**n n!)).
 _LOWER_BOUNDS = {

@@ -132,8 +132,10 @@ class _Orbits:
         parent = list(range(len(self.nodes)))
         moves = [lambda x: (x & 255) << 8 | x >> 8, lambda x: x ^ x >> 8] if n == 4 else []
         small = self._merge(parent, range(len(parent)), moves)
-        swaps = [lambda x, c=c: sum(1 << c[b] for b in range(1 << n) if x >> b & 1)
-                 for c in _cube_generators(n)[n:]]
+        # a transposition's image of x = H·2**8 + L is high[H] ^ low[L]
+        tables = [[_linear_table([1 << b for b in c[i:i + 8]]) for i in (8, 0)]
+                  for c in _cube_generators(n)[n:]]
+        swaps = [lambda x, hi=hi, lo=lo: hi[x >> 8] ^ lo[x & 255] for hi, lo in tables]
         roots = {"small": small, "large": self._merge(parent, set(small), swaps)}
         self.canonical = {g: [self.nodes[r][0] for r in rs] for g, rs in roots.items()}
         self.sizes = {g: Counter() for g in roots}

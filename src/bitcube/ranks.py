@@ -16,18 +16,24 @@ with bit i set and bit j clear by 2**j - 2**i, all at once: one delta swap
 (Knuth, The Art of Computer Programming 4A, 7.1.3).
 
 In all three semirings the level is translated by one rank-1 code per orbit
-of the n-cube's symmetry group (order 2**n * n!, generated by slice swaps
-and transpositions of directions), one code bit at a time, and the union is
-then closed under that group.  For the integer case x + y is x | y with
+of the n-cube's symmetry group Bn (order 2**n * n!: slice swaps and
+direction permutations), one code bit at a time, and the union is then
+closed under that group.  For the integer case x + y is x | y with
 x & y == 0, so a member that holds a bit of the code drops out.  The group
 permutes cells, so it maps rank-1 arrays to rank-1 arrays, commutes with
 xor and or and keeps disjoint supports disjoint: every level is a union of
-orbits, and g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.  The
-closure takes S = S | g(S) along the slice swaps, then along the bubble
-sequence t1; t2 t1; ...; t(n-1) ... t1 of direction transpositions.  A step
-along g turns the images under a set A of elements into those under
-A·{e, g}, and these products give all sets of slice swaps, then a
-transversal of S_k in S_(k+1) for each k in turn: the whole group.
+orbits, and g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.
+
+The closure takes S = S | g(S) along a sequence of steps g, so it holds the
+images under their product set {e, g_m}···{e, g_1}.  The steps are
+reflections of the index-2 subgroup Dn that swaps an even number of slices:
+transpositions t(j, k) of two directions, and anti-transpositions a(j, k)
+that also flip both.  Each moves half the cells, a slice swap all of them.
+Dk-1 has 2k cosets in Dk, one per direction that k can go to, flipped or
+not: with t = t(k - 1, k) and a = a(k - 1, k), the products e, a·t, t, a,
+t(j, k) and t(j, k)·a·t reach all 2k, so the steps t, a, t(k - 2, k), ...,
+t(1, k) for k = 2..n reach Dn.  One slice swap doubles Dn to Bn (Humphreys,
+Reflection Groups and Coxeter Groups, 2.10): 44 delta swaps at n = 4.
 """
 
 from __future__ import annotations
@@ -151,6 +157,23 @@ def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _closure_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The closure's steps as cell permutations: per k = 2..n, t(k - 1, k),
+    a(k - 1, k) and t(j, k) for j = k - 2 down to 1; then the slice swap
+    along direction n."""
+    def swap(j: int, k: int) -> tuple[int, ...]:
+        return _permuted_cells(tuple(k if d == j else j if d == k else d
+                                     for d in range(1, n + 1)), n)
+    steps = []
+    for k in range(2, n + 1):
+        # a(k - 1, k) is t(k - 1, k) followed by flipping bits n - k, n - k + 1
+        t = swap(k - 1, k)
+        steps += [t, tuple(c ^ 3 << (n - k) for c in t),
+                  *(swap(j, k) for j in range(k - 2, 0, -1))]
+    return (*steps, _cube_generators(n)[n - 1])
+
+
+@lru_cache(maxsize=None)
 def _clear_masks(n: int) -> tuple[int, ...]:
     # per code bit b, the bitset of the codes with bit b clear: runs of 2**b
     # members with period 2**(b + 1)
@@ -169,11 +192,9 @@ def _closure_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # per step, the delta swaps (delta, mask) of its generator's code-bit
     # transpositions i < j: the mask holds the codes with bit i set, bit j clear
     clear = _clear_masks(n)
-    swaps = [tuple(((1 << j) - (1 << i), clear[j] & ~clear[i])
-                   for i, j in enumerate(images) if i < j)
-             for images in _cube_generators(n)]
-    moves = swaps[n:]
-    return (*swaps[:n], *(moves[j] for i in range(len(moves)) for j in range(i, -1, -1)))
+    return tuple(tuple(((1 << j) - (1 << i), clear[j] & ~clear[i])
+                       for i, j in enumerate(images) if i < j)
+                 for images in _closure_generators(n))
 
 
 def _cube_closure(codes: int, n: int) -> int:
@@ -201,9 +222,11 @@ def _orbit_bits(n: int) -> tuple[tuple[int, ...], ...]:
 def _sums(level: int, n: int, semiring: Semiring) -> int:
     """Every sum x + y of a member x of the level and a rank-1 code y."""
     # add y_f one code bit b at a time: members with bit b clear move up by
-    # 2**b, those with it set move down (xor), stay (or) or drop out (integer)
-    clear, union = _clear_masks(n), 0
-    for bits in _orbit_bits(n):
+    # 2**b, those with it set move down (xor), stay (or) or drop out (integer).
+    # J = y_n, all ones, adds nothing to a Boolean or integer level: x ∨ J = J
+    # has rank 1, and x + J needs x = 0.  Only the field adds it.
+    clear, union, ys = _clear_masks(n), 0, _orbit_bits(n)
+    for bits in ys if semiring is Semiring.GF2 else ys[:n]:
         for b in bits:
             low = level & clear[b]
             if semiring is Semiring.GF2:

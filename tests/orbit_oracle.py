@@ -116,6 +116,14 @@ def _cube_masks(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def cube_cell_maps(n: int) -> frozenset[tuple[int, ...]]:
+    """Every element of the n-cube's symmetry group as a cell map: per code
+    bit d, the code bit whose entry moves to d."""
+    top = (1 << n) - 1
+    return frozenset(tuple(masks[top - d].bit_length() - 1 for d in range(1 << n))
+                     for masks in _cube_masks(n))
+
+
 def permutations(n: int) -> list[tuple[int, ...]]:
     """Every direction permutation of n directions, as tuples of images."""
     return list(itertools.permutations(range(1, n + 1)))

@@ -1,4 +1,5 @@
 import csv
+import math
 import random
 from fractions import Fraction
 
@@ -16,10 +17,10 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.ranks import _cube_closure, _stratify
+from bitcube.ranks import _closure_generators, _closure_steps, _cube_closure, _stratify
 from bitcube.reporting import emit_table, percent_text
 from conftest import SAMPLE_SEED, cube_tables
-from orbit_oracle import OrbitMinima
+from orbit_oracle import OrbitMinima, cube_cell_maps
 from rank_oracle import closure_ranks
 
 S3 = Shape(3)
@@ -138,6 +139,29 @@ def test_cube_closure_of_a_code_is_its_oracle_orbit(n):
     codes = range(256) if n == 3 else rng.sample(range(1 << 16), 300)
     for code in codes:
         assert _cube_closure(1 << code, n) == _bitset_of(oracle.cube_orbit(code)), code
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_closure_steps_reach_the_whole_cube_group(n):
+    # the closure holds the images under the product set of its steps, taken
+    # as S = S | g∘S; with each element as the source of each code bit's
+    # entry, that set must be the oracle's group of order 2**n * n!
+    group = cube_cell_maps(n)
+    assert len(group) == 2**n * math.factorial(n)
+    product = {tuple(range(1 << n))}
+    for images in _closure_generators(n):
+        source = [0] * len(images)
+        for b, c in enumerate(images):
+            source[c] = b
+        product |= {tuple(s[b] for b in source) for s in product}
+    assert product == group
+
+
+def test_closure_takes_14_and_44_delta_swaps():
+    # one delta swap per pair of code bits a step exchanges; the n slice
+    # swaps and a bubble sequence of adjacent transpositions would take 18
+    # and 56
+    assert [sum(map(len, _closure_steps(n))) for n in (3, 4)] == [14, 44]
 
 
 def test_cube_orbit_counts():
