@@ -119,7 +119,10 @@ class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shap
         return self.code.bit_count()
 
     def bit(self, subs: Sequence[int]) -> int:
-        """Entry at a subscript tuple."""
+        """Entry at a subscript tuple: n subscripts, each 1 or 2."""
+        if len(subs) != self.shape.n or any(i not in (1, 2) for i in subs):
+            raise ValueError(
+                f"subscripts {tuple(subs)} do not index dimension {self.shape.n}")
         q = 0
         for i in subs:
             q = (q << 1) | (i - 1)
@@ -205,6 +208,24 @@ def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     for k in range(shape.n):
         codes = [a * r << (1 << k) | b * r for a, b in NONZERO_VECS for r in codes]
     return tuple(sorted(codes))
+
+
+def _cell_swap(n: int, delta: int, bits: int, low: int) -> tuple[int, int]:
+    """A map exchanging each cell b with b & bits == low and the cell b + delta,
+    as (delta, lower): lower is the bitset of those cells b."""
+    return delta, sum(1 << b for b in range(1 << n) if b & bits == low)
+
+
+def _transposition(n: int, j: int, k: int, anti: bool = False) -> tuple[int, int]:
+    """The transposition of directions j < k as a cell swap or, if anti, the
+    anti-transposition that also swaps the slices along both.
+
+    Code bit b holds the cell with subscript 1 along d iff bit n - d of b is
+    set, so the transposition exchanges the cells with subscripts (2, 1) and
+    (1, 2) along j, k, the anti-transposition those with (2, 2) and (1, 1).
+    """
+    h, l = 1 << (n - j), 1 << (n - k)
+    return _cell_swap(n, h + l, h | l, 0) if anti else _cell_swap(n, h - l, h | l, l)
 
 
 def _mat_rows(a: ArrayCode) -> list[str]:

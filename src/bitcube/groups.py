@@ -18,7 +18,8 @@ its least code is P·2**8 + Q.  The matrices along direction 1,
 generated by (A, B) → (B, A) and (A, B) → (A, A ⊕ B), so the small orbits
 are the classes of nodes these join.  At n = 3 a code x is the pair
 (x, 0).  Direction permutations normalise the small group, so the large
-orbits are the classes of small orbits joined by adjacent transpositions.
+orbits are the classes of small orbits joined by adjacent transpositions,
+each applied to a code as one delta swap of cells (arrays._transposition).
 A class's least node holds its canonical form.
 """
 
@@ -29,8 +30,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Literal, NamedTuple
 
-from .arrays import ArrayCode, Shape, UnsupportedShapeError
-from .ranks import RankTable, Semiring, _cube_generators
+from .arrays import ArrayCode, Shape, UnsupportedShapeError, _transposition
+from .ranks import RankTable, Semiring
 
 GroupKind = Literal["small", "large"]
 
@@ -132,10 +133,9 @@ class _Orbits:
         parent = list(range(len(self.nodes)))
         moves = [lambda x: (x & 255) << 8 | x >> 8, lambda x: x ^ x >> 8] if n == 4 else []
         small = self._merge(parent, range(len(parent)), moves)
-        # a transposition's image of x = H·2**8 + L is high[H] ^ low[L]
-        tables = [[_linear_table([1 << b for b in c[i:i + 8]]) for i in (8, 0)]
-                  for c in _cube_generators(n)[n:]]
-        swaps = [lambda x, hi=hi, lo=lo: hi[x >> 8] ^ lo[x & 255] for hi, lo in tables]
+        # a transposition exchanges code bits b in low and b + d: one delta swap
+        swaps = [lambda x, d=d, low=low: x ^ (t := (x ^ x >> d) & low) ^ t << d
+                 for d, low in (_transposition(n, j, j + 1) for j in range(1, n))]
         roots = {"small": small, "large": self._merge(parent, set(small), swaps)}
         self.canonical = {g: [self.nodes[r][0] for r in rs] for g, rs in roots.items()}
         self.sizes = {g: Counter() for g in roots}

@@ -25,14 +25,17 @@ xor and or and keeps disjoint supports disjoint: every level is a union of
 orbits, and g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.
 
 The closure takes S = S | g(S) along a sequence of steps g, so it holds the
-images under their product set {e, g_m}···{e, g_1}.  The steps are
-reflections of the index-2 subgroup Dn that swaps an even number of slices:
-transpositions t(j, k) of two directions, and anti-transpositions a(j, k)
-that also flip both.  Each moves half the cells, a slice swap all of them.
-Dk-1 has 2k cosets in Dk, one per direction that k can go to, flipped or
-not: with t = t(k - 1, k) and a = a(k - 1, k), the products e, a·t, t, a,
-t(j, k) and t(j, k)·a·t reach all 2k, so the steps t, a, t(k - 2, k), ...,
-t(1, k) for k = 2..n reach Dn.  One slice swap doubles Dn to Bn (Humphreys,
+images under their product set {e, g_m}···{e, g_1}.  Each step is a cell
+swap: it exchanges each of a set of lower cells b with the cell b + delta,
+one delta for all, and so lifts to one delta swap of the code bits b and
+b + delta per lower cell.  The steps are reflections of the index-2
+subgroup Dn that swaps an even number of slices: transpositions t(j, k) of
+two directions, and anti-transpositions a(j, k) that also flip both, each
+with 2**(n - 2) lower cells; a slice swap has 2**(n - 1).  Dk-1 has 2k
+cosets in Dk, one per direction that k can go to, flipped or not: with
+t = t(k - 1, k) and a = a(k - 1, k), the products e, a·t, t, a, t(j, k) and
+t(j, k)·a·t reach all 2k, so the steps t, a, t(k - 2, k), ..., t(1, k) for
+k = 2..n reach Dn.  One slice swap doubles Dn to Bn (Humphreys,
 Reflection Groups and Coxeter Groups, 2.10): 44 delta swaps at n = 4.
 """
 
@@ -49,8 +52,10 @@ from .arrays import (
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
+    _cell_swap,
     _checked_shape,
     _Checked,
+    _transposition,
     outer_product,
     rank_one_codes,
 )
@@ -133,44 +138,15 @@ def rank_of(a: ArrayCode, table: RankTable) -> int:
     return table.rank_of_code(a.code)
 
 
-def _permuted_cells(perm: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The cell map of a direction permutation: per code bit b, the code bit
-    that the cell at b moves to, the cell whose subscript along perm[j - 1]
-    is its subscript along j."""
-    return tuple(sum((b >> (n - j) & 1) << (n - q) for j, q in enumerate(perm, 1))
-                 for b in range(1 << n))
-
-
-@lru_cache(maxsize=None)
-def _cube_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """The n-cube's generators as cell permutations: images[b] is the code
-    bit that the cell at code bit b moves to.
-
-    The slice swaps along directions d = 1..n, then the transpositions of
-    directions j, j + 1.  Code bit b holds the cell with subscript 1 along d
-    iff bit n - d of b is set.  Every generator is an involution.
-    """
-    cells = [tuple(b ^ 1 << (n - d) for b in range(1 << n)) for d in range(1, n + 1)]
-    cells += [_permuted_cells((*range(1, j), j + 1, j, *range(j + 2, n + 1)), n)
-              for j in range(1, n)]
-    return tuple(cells)
-
-
-@lru_cache(maxsize=None)
-def _closure_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """The closure's steps as cell permutations: per k = 2..n, t(k - 1, k),
+def _closure_generators(n: int) -> tuple[tuple[int, int], ...]:
+    """The closure's steps as cell swaps: per k = 2..n, t(k - 1, k),
     a(k - 1, k) and t(j, k) for j = k - 2 down to 1; then the slice swap
     along direction n."""
-    def swap(j: int, k: int) -> tuple[int, ...]:
-        return _permuted_cells(tuple(k if d == j else j if d == k else d
-                                     for d in range(1, n + 1)), n)
     steps = []
     for k in range(2, n + 1):
-        # a(k - 1, k) is t(k - 1, k) followed by flipping bits n - k, n - k + 1
-        t = swap(k - 1, k)
-        steps += [t, tuple(c ^ 3 << (n - k) for c in t),
-                  *(swap(j, k) for j in range(k - 2, 0, -1))]
-    return (*steps, _cube_generators(n)[n - 1])
+        steps += [_transposition(n, k - 1, k), _transposition(n, k - 1, k, anti=True),
+                  *(_transposition(n, j, k) for j in range(k - 2, 0, -1))]
+    return (*steps, _cell_swap(n, 1, 1, 0))
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +165,12 @@ def _clear_masks(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _closure_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # per step, the delta swaps (delta, mask) of its generator's code-bit
-    # transpositions i < j: the mask holds the codes with bit i set, bit j clear
+    # per step, the delta swaps (delta, mask) of the code bits i and i + d of
+    # each lower cell i: the mask holds the codes with bit i set, bit i + d clear
     clear = _clear_masks(n)
-    return tuple(tuple(((1 << j) - (1 << i), clear[j] & ~clear[i])
-                       for i, j in enumerate(images) if i < j)
-                 for images in _closure_generators(n))
+    return tuple(tuple(((1 << i + d) - (1 << i), clear[i + d] & ~clear[i])
+                       for i in range(1 << n) if lower >> i & 1)
+                 for d, lower in _closure_generators(n))
 
 
 def _cube_closure(codes: int, n: int) -> int:

@@ -18,10 +18,12 @@ since permutations normalize the small group.  The orbit under the n-cube's
 symmetry group is expanded over all 2**n * n! cell maps: swap the two
 slices of any subset of directions, then transpose subscripts.
 
-The module also holds the engine's actions as whole-space numpy tables
+The module also holds the actions as whole-space numpy tables
 (`axis_action_table`, `permutation_action_table`), for the tests that index
-by them.  Those are not part of the oracle: they are built from the engine's
-own per-bit images, and the tests check them against the scalar actions.
+by them.  They are built from the same cell masks as the scalar actions:
+the image of code bit b is the set of cells whose mask holds b, and since
+the actions are linear over F2, a code's image is the xor of its bits'
+images.  The tests check them against the scalar actions.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import itertools
 from functools import lru_cache
 
 from bitcube import ArrayCode, Shape
-from bitcube.groups import _axis_images, _linear_table
-from bitcube.ranks import _permuted_cells
 
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -192,12 +192,18 @@ class OrbitMinima:
 
 
 # ---------------------------------------------------------------------------
-# the engine's actions as numpy tables
+# the actions as numpy tables
 # ---------------------------------------------------------------------------
 
-def _array(images: list[int]):
+def _array(masks: tuple[int, ...]):
+    # the image of code bit b holds the cells whose mask holds b; double the
+    # table of images once per code bit, xor-ing in that bit's image
     import numpy as np
-    out = np.array(_linear_table(images), dtype=np.uint32)
+    top, table = len(masks) - 1, [0]
+    for b in range(len(masks)):
+        image = sum(1 << (top - q) for q, mask in enumerate(masks) if mask >> b & 1)
+        table += [t ^ image for t in table]
+    out = np.array(table, dtype=np.uint32)
     out.flags.writeable = False
     return out
 
@@ -206,11 +212,11 @@ def _array(images: list[int]):
 def axis_action_table(g: Matrix, direction: int, n: int):
     """Image of every code under one matrix acting along one direction, as a
     read-only numpy array."""
-    return _array(_axis_images(g, direction, n))
+    return _array(_axis_masks(g, direction, n))
 
 
 @lru_cache(maxsize=None)
 def permutation_action_table(p: tuple[int, ...], n: int):
     """Image of every code under one direction permutation, as a read-only
     numpy array."""
-    return _array([1 << c for c in _permuted_cells(p, n)])
+    return _array(_permutation_masks(p, n))

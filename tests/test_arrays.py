@@ -198,3 +198,11 @@ def test_code_range_checked():
         ArrayCode(256, S3)
     with pytest.raises(ValueError):
         ArrayCode(-1, S3)
+
+
+def test_bit_rejects_subscripts_outside_the_shape():
+    a = ArrayCode(128, S3)
+    assert a.bit((1, 1, 1)) == 1
+    for subs in ((1, 1), (0, 1, 1), (1, 1, 3), (3, 1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="dimension 3"):
+            a.bit(subs)

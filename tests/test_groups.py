@@ -18,8 +18,9 @@ from bitcube import (
     orbit_split,
     small_orbit,
 )
-from bitcube.groups import _linear_table, _orbits, _slices
-from bitcube.ranks import _cube_closure, _cube_generators
+from bitcube.arrays import _transposition
+from bitcube.groups import _orbits, _slices
+from bitcube.ranks import _closure_generators, _cube_closure
 
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import (
@@ -263,11 +264,31 @@ def test_labels_are_orbit_invariant_idempotent_minima(n, group):
 
 
 @pytest.mark.parametrize("n", (3, 4))
-def test_cube_tables_equal_action_tables(n):
-    # the n-cube's generators, built as cell permutations, against the
-    # matrix and direction-permutation builders: the slice swap is GL2_F2[0]
-    for images, table in zip(_cube_generators(n), cube_tables(n), strict=True):
-        assert _linear_table([1 << c for c in images]) == tuple(table.tolist())
+def test_cell_swaps_are_the_elements_they_name(n):
+    # each closure step and merge transposition, applied to every code as one
+    # delta swap, against the oracle's tables: t(j, k) transposes directions
+    # j and k, a(j, k) also swaps the slices along both (GL2_F2[0]), and the
+    # closure's steps end with the slice swap along n
+    codes = np.arange(Shape(n).code_count)
+
+    def swapped(delta, lower):
+        t = (codes ^ codes >> delta) & lower
+        return codes ^ t ^ t << delta
+
+    flip = {d: axis_action_table(GL2_F2[0], d, n) for d in range(1, n + 1)}
+    named = {}
+    for j, k in itertools.combinations(range(1, n + 1), 2):
+        perm = [k if d == j else j if d == k else d for d in range(1, n + 1)]
+        t = permutation_action_table(tuple(perm), n)
+        named["t", j, k], named["a", j, k] = t, flip[j][flip[k][t]]
+    order = [key for k in range(2, n + 1)
+             for key in (("t", k - 1, k), ("a", k - 1, k),
+                         *(("t", j, k) for j in range(k - 2, 0, -1)))]
+    expected = [named[key] for key in order] + [flip[n]]
+    for step, table in zip(_closure_generators(n), expected, strict=True):
+        assert np.array_equal(swapped(*step), table)
+    for j in range(1, n):
+        assert np.array_equal(swapped(*_transposition(n, j, j + 1)), named["t", j, j + 1])
 
 
 def test_slice_tables_carry_each_code_to_its_minimum_and_back():

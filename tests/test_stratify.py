@@ -120,7 +120,7 @@ def test_rank_of_code_equals_unreduced_closure(tables, closure, sample_codes_4):
             table.rank_of_code(Shape(n).code_count)
 
 
-def test_ranks_invariant_under_cube_generators(closure):
+def test_ranks_invariant_under_cube_tables(closure):
     # the premise of expanding one code per orbit of the cube's symmetries
     for (n, _), ref in closure.items():
         for t in cube_tables(n):
@@ -145,14 +145,16 @@ def test_cube_closure_of_a_code_is_its_oracle_orbit(n):
 def test_closure_steps_reach_the_whole_cube_group(n):
     # the closure holds the images under the product set of its steps, taken
     # as S = S | g∘S; with each element as the source of each code bit's
-    # entry, that set must be the oracle's group of order 2**n * n!
+    # entry, that set must be the oracle's group of order 2**n * n!.  A step
+    # (delta, lower) exchanges each cell b in lower with b + delta.
     group = cube_cell_maps(n)
     assert len(group) == 2**n * math.factorial(n)
     product = {tuple(range(1 << n))}
-    for images in _closure_generators(n):
-        source = [0] * len(images)
-        for b, c in enumerate(images):
-            source[c] = b
+    for delta, lower in _closure_generators(n):
+        source = list(range(1 << n))
+        for b in range(1 << n):
+            if lower >> b & 1:
+                source[b], source[b + delta] = b + delta, b
         product |= {tuple(s[b] for b in source) for s in product}
     assert product == group
 
