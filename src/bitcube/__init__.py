@@ -44,7 +44,7 @@ _LAZY = {
                "render_mat", "unflatten"),
     "ranks": ("RankTable", "Semiring", "rank_of", "stratify"),
     "cache": ("CacheError", "dump_table", "load_table"),
-    "groups": ("GL2_F2", "OrbitRecord", "OrbitSplit", "canonical_form", "classify",
+    "groups": ("OrbitRecord", "OrbitSplit", "canonical_form", "classify",
                "large_orbit", "orbit_split", "small_orbit"),
     "expected": ("VerifyReport", "verify_all"),
     "reporting": ("PartitionRow", "RankShare", "emit_all_tables", "emit_table",

@@ -140,7 +140,7 @@ class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shap
     @classmethod
     def from_text(cls, text: str, shape: Shape) -> "ArrayCode":
         """Parse a 0/1 string in linearization order; spaces are ignored."""
-        digits = text.replace(" ", "")
+        shape, digits = _checked_shape(shape), text.replace(" ", "")
         if len(digits) != shape.m or set(digits) - {"0", "1"}:
             raise ValueError(
                 f"expected {shape.m} characters '0'/'1', got {text!r}"
@@ -154,7 +154,7 @@ def flatten(cells: Mapping[tuple[int, ...], int], shape: Shape) -> ArrayCode:
     Every subscript tuple of the shape must be present exactly once and no
     other key may appear.
     """
-    expected = set(shape.subscripts())
+    expected = set(_checked_shape(shape).subscripts())
     given = set(cells)
     if given != expected:
         missing = sorted(expected - given)
@@ -185,7 +185,7 @@ def outer_product(factors: Sequence[Vec2], shape: Shape) -> ArrayCode:
     Exactly n factors are required and each must be one of the three nonzero
     0-1 vectors: rank-1 arrays are products of nonzero vectors only.
     """
-    if len(factors) != shape.n:
+    if len(factors) != _checked_shape(shape).n:
         raise ValueError(f"expected {shape.n} factors, got {len(factors)}")
     for j, v in enumerate(factors, start=1):
         if tuple(v) not in NONZERO_VECS:
@@ -199,13 +199,13 @@ def outer_product(factors: Sequence[Vec2], shape: Shape) -> ArrayCode:
     return ArrayCode(code, shape)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     """Sorted raw codes of all rank-1 arrays; there are exactly 3**n."""
     # prepend a factor (a, b) to the codes r of k factors: the new first
     # subscript selects the high half (entry a) or the low half (entry b)
     codes = [1]
-    for k in range(shape.n):
+    for k in range(_checked_shape(shape).n):
         codes = [a * r << (1 << k) | b * r for a, b in NONZERO_VECS for r in codes]
     return tuple(sorted(codes))
 
@@ -214,6 +214,13 @@ def _cell_swap(n: int, delta: int, bits: int, low: int) -> tuple[int, int]:
     """A map exchanging each cell b with b & bits == low and the cell b + delta,
     as (delta, lower): lower is the bitset of those cells b."""
     return delta, sum(1 << b for b in range(1 << n) if b & bits == low)
+
+
+def _slice_swap(n: int, d: int) -> tuple[int, int]:
+    """The swap of the slices at subscripts 1 and 2 along direction d as a cell
+    swap: its lower cells are those at subscript 2 (see _transposition)."""
+    s = 1 << (n - d)
+    return _cell_swap(n, s, s, 0)
 
 
 def _transposition(n: int, j: int, k: int, anti: bool = False) -> tuple[int, int]:

@@ -5,44 +5,35 @@ directions by changing basis on the 2-vectors of that direction, and the
 direction permutations transpose subscripts.  The small symmetry group is
 the n-fold direct product of the matrix group; the large symmetry group
 extends it by all direction permutations.  Both actions preserve rank.
+With A and B the slices at subscripts 1 and 2 along a direction, the six
+matrices are e, s, a, s∘a, a∘s and s∘a∘s, for the swap s, (A, B) → (B, A),
+and the addition a, (A, B) → (A, A ⊕ B): two moves of cells, _swap and _add.
 
 The canonical form of an orbit is its minimal member.  Orbits are found
 slice by slice, as in stabiliser chains (Holt, Eick and O'Brien, Handbook
-of Computational Group Theory, ch. 4).  G3 = GL2_F2**3 acts on the n = 3
-codes as 216 tables.  An n = 4 code is x = A·2**8 + B, its slices at
-subscripts 1 and 2 along direction 1, and G3 acts on both alike.  A node
-(P, Q), with P a G3-orbit minimum and Q least in its orbit under P's
-stabiliser, is the G3-orbit of the pairs (gP, gB) with B in that orbit;
-its least code is P·2**8 + Q.  The matrices along direction 1,
-(A, B) → (g11 A ⊕ g12 B, g21 A ⊕ g22 B), commute with G3 and are
-generated by (A, B) → (B, A) and (A, B) → (A, A ⊕ B), so the small orbits
-are the classes of nodes these join.  At n = 3 a code x is the pair
-(x, 0).  Direction permutations normalise the small group, so the large
-orbits are the classes of small orbits joined by adjacent transpositions,
-each applied to a code as one delta swap of cells (arrays._transposition).
-A class's least node holds its canonical form.
+of Computational Group Theory, ch. 4).  G3, the small group at n = 3, is
+made from the two moves along each direction, as tables on the 256 codes.
+An n = 4 code is x = A·2**8 + B, its slices along direction 1, and G3 acts
+on both alike.  A node (P, Q), with P a G3-orbit minimum and Q least in its
+orbit under P's stabiliser, is the G3-orbit of the pairs (gP, gB) with B in
+that orbit; its least code is P·2**8 + Q.  The matrices along direction 1
+commute with G3, so the small orbits are the classes of nodes that the two
+moves along it join.  At n = 3 a code x is the pair (x, 0).  Direction
+permutations normalise the small group, so the large orbits are the classes
+of small orbits joined by adjacent transpositions, delta swaps like s
+(arrays._transposition).  A class's least node holds its canonical form.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import lru_cache
 from typing import Literal, NamedTuple
 
-from .arrays import ArrayCode, Shape, UnsupportedShapeError, _transposition
+from .arrays import ArrayCode, Shape, UnsupportedShapeError, _slice_swap, _transposition
 from .ranks import RankTable, Semiring
 
 GroupKind = Literal["small", "large"]
-
-
-#: The six invertible matrices over {0, 1}, each as its two rows
-#: ((a, b), (c, d)), in lexicographic order of their entries.
-GL2_F2: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
-    ((a, b), (c, d))
-    for a, b, c, d in itertools.product((0, 1), repeat=4)
-    if (a & d) ^ (b & c) == 1
-)
 
 
 class OrbitRecord(NamedTuple):
@@ -72,22 +63,22 @@ class OrbitSplit(NamedTuple):
 # actions over the whole code space (n = 3, 4)
 # ---------------------------------------------------------------------------
 
-def _linear_table(images: list[int]) -> tuple[int, ...]:
-    # Every generator is linear over F2, so the image of a code is the xor of
-    # images[b] over its set bits b: double the table once per code bit.
-    table = [0]
-    for image in images:
-        table += [t ^ image for t in table]
-    return tuple(table)
+def _swap(x: int, delta: int, lower: int) -> int:
+    # one delta swap: each cell b in lower trades places with the cell b + delta
+    t = (x ^ x >> delta) & lower
+    return x ^ t ^ t << delta
 
 
-def _axis_images(g: tuple, direction: int, n: int) -> list[int]:
-    # code bit b holds an entry at subscript 1 along the direction iff b & s;
-    # the entry at subscript 2 of the same line is then bit b - s
-    s = 1 << (n - direction)
-    (g11, g12), (g21, g22) = g
-    return [g11 << b | g21 << (b - s) if b & s else g12 << (b + s) | g22 << b
-            for b in range(1 << n)]
+def _add(x: int, delta: int, lower: int) -> int:
+    # the cell b + delta is added into each cell b in lower
+    return x ^ x >> delta & lower
+
+
+def _gl2(d: int) -> tuple[bytes, ...]:
+    # the six matrices along direction d as tables on the n = 3 codes
+    e, cells = bytes(range(256)), _slice_swap(3, d)
+    s, a = (bytes(move(x, *cells) for x in e) for move in (_swap, _add))
+    return e, s, a, a.translate(s), s.translate(a), s.translate(a).translate(s)
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +89,7 @@ def _slices() -> tuple[dict, dict, dict, dict]:
     An element g is its table of 256 bytes, g[x] the image of x: t∘u is
     u.translate(t), and g's inverse is the table that maps each g[x] to x.
     """
-    d1, d2, d3 = ([bytes(_linear_table(_axis_images(g, d, 3))) for g in GL2_F2]
-                  for d in (1, 2, 3))
+    d1, d2, d3 = map(_gl2, (1, 2, 3))
     elements = [w.translate(v).translate(u) for u in d1 for v in d2 for w in d3]
     identity = bytes(range(256))
     least, to_least, from_least, stabilisers = {}, {}, {}, {}
@@ -120,7 +110,7 @@ class _Orbits:
 
     def __init__(self, n: int):
         self.least, self.to_least, self.from_least, stabilisers = _slices()
-        self.shift = 8 if n == 4 else 0
+        self.shift, lower = _slice_swap(4, 1) if n == 4 else (0, 0)
         self.nodes: list[tuple[int, int]] = []
         self.node_of: dict[int, dict[int, int]] = {}
         for p, stab in stabilisers.items():
@@ -131,11 +121,9 @@ class _Orbits:
                     ids.update(dict.fromkeys(orbit, len(self.nodes)))
                     self.nodes.append((p << self.shift | b, 216 // len(stab) * len(orbit)))
         parent = list(range(len(self.nodes)))
-        moves = [lambda x: (x & 255) << 8 | x >> 8, lambda x: x ^ x >> 8] if n == 4 else []
+        moves = [(_swap, self.shift, lower), (_add, self.shift, lower)] if n == 4 else []
         small = self._merge(parent, range(len(parent)), moves)
-        # a transposition exchanges code bits b in low and b + d: one delta swap
-        swaps = [lambda x, d=d, low=low: x ^ (t := (x ^ x >> d) & low) ^ t << d
-                 for d, low in (_transposition(n, j, j + 1) for j in range(1, n))]
+        swaps = [(_swap, *_transposition(n, j, j + 1)) for j in range(1, n)]
         roots = {"small": small, "large": self._merge(parent, set(small), swaps)}
         self.canonical = {g: [self.nodes[r][0] for r in rs] for g, rs in roots.items()}
         self.sizes = {g: Counter() for g in roots}
@@ -144,15 +132,15 @@ class _Orbits:
                 self.sizes[g][code] += size
 
     def _merge(self, parent: list[int], reps, moves) -> list[int]:
-        # join the class of each node in reps with that of each move of its
-        # least code; a class's root is its least node
+        # join the class of each node in reps, least code x, with that of
+        # move(x, delta, lower) for each move; a class's root is its least node
         def find(i: int) -> int:
             while parent[i] != i:
                 parent[i] = i = parent[parent[i]]
             return i
         for i in reps:
-            for move in moves:
-                a, b = find(i), find(self.node(move(self.nodes[i][0])))
+            for move, delta, lower in moves:
+                a, b = find(i), find(self.node(move(self.nodes[i][0], delta, lower)))
                 parent[max(a, b)] = min(a, b)
         return [find(i) for i in range(len(parent))]
 

@@ -52,9 +52,9 @@ from .arrays import (
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
-    _cell_swap,
     _checked_shape,
     _Checked,
+    _slice_swap,
     _transposition,
     outer_product,
     rank_one_codes,
@@ -146,7 +146,7 @@ def _closure_generators(n: int) -> tuple[tuple[int, int], ...]:
     for k in range(2, n + 1):
         steps += [_transposition(n, k - 1, k), _transposition(n, k - 1, k, anti=True),
                   *(_transposition(n, j, k) for j in range(k - 2, 0, -1))]
-    return (*steps, _cell_swap(n, 1, 1, 0))
+    return (*steps, _slice_swap(n, n))
 
 
 @lru_cache(maxsize=None)

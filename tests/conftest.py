@@ -35,10 +35,9 @@ def popcount_array(limit):
 def cube_tables(n):
     """The n-cube's generators as action tables: the slice swap along each
     direction, then the transpositions of adjacent directions."""
-    from bitcube import GL2_F2
-    from orbit_oracle import axis_action_table, permutation_action_table
+    from orbit_oracle import MATRICES, axis_action_table, permutation_action_table
 
-    tables = [axis_action_table(GL2_F2[0], d, n) for d in range(1, n + 1)]
+    tables = [axis_action_table(MATRICES[0], d, n) for d in range(1, n + 1)]
     for j in range(1, n):
         perm = list(range(1, n + 1))
         perm[j - 1], perm[j] = perm[j], perm[j - 1]

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from bitcube import (
-    GL2_F2,
     ArrayCode,
     Semiring,
     Shape,
@@ -28,7 +27,7 @@ from bitcube import (
 )
 from bitcube.expected import DEFAULT
 from conftest import SAMPLE_SEED
-from orbit_oracle import axis_action_table, permutation_action_table, permutations
+from orbit_oracle import MATRICES, axis_action_table, permutation_action_table, permutations
 from rank_oracle import RankSearch
 
 S3, S4 = Shape(3), Shape(4)
@@ -149,7 +148,7 @@ def test_criterion_08_property_suite(tables, sample_codes_4):
     # direction permutation, exhaustively for both dimensions
     for n in (3, 4):
         ranks = _rank_array(tables[(n, "gf2")])
-        for g in GL2_F2:
+        for g in MATRICES:
             for direction in range(1, n + 1):
                 assert (ranks[axis_action_table(g, direction, n)] == ranks).all()
         for p in permutations(n):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bitcube import (
-    GL2_F2,
     ArrayCode,
     Shape,
     UnsupportedShapeError,
@@ -18,12 +17,13 @@ from bitcube import (
     orbit_split,
     small_orbit,
 )
-from bitcube.arrays import _transposition
-from bitcube.groups import _orbits, _slices
+from bitcube.arrays import _slice_swap, _transposition
+from bitcube.groups import _add, _orbits, _slices, _swap
 from bitcube.ranks import _closure_generators, _cube_closure
 
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import (
+    MATRICES,
     OrbitMinima,
     act_axis,
     act_permutation,
@@ -48,7 +48,7 @@ codes_4 = st.integers(0, 65535)
 # ---------------------------------------------------------------------------
 
 def test_exactly_six_invertible_matrices_in_lex_order():
-    assert list(GL2_F2) == [
+    assert list(MATRICES) == [
         ((0, 1), (1, 0)),
         ((0, 1), (1, 1)),
         ((1, 0), (0, 1)),
@@ -59,15 +59,15 @@ def test_exactly_six_invertible_matrices_in_lex_order():
 
 
 def test_group_closed_under_multiplication():
-    members = set(GL2_F2)
-    for g, h in itertools.product(GL2_F2, repeat=2):
+    members = set(MATRICES)
+    for g, h in itertools.product(MATRICES, repeat=2):
         assert matmul(g, h) in members
 
 
 def test_group_acts_as_all_permutations_of_nonzero_vectors():
     nonzero = ((0, 1), (1, 0), (1, 1))
     images = {
-        tuple(apply_vec(g, v) for v in nonzero) for g in GL2_F2
+        tuple(apply_vec(g, v) for v in nonzero) for g in MATRICES
     }
     assert len(images) == 6  # faithful, and 6 = 3! means every permutation
 
@@ -78,13 +78,13 @@ def test_generators_generate_whole_group():
     while frontier:
         new = []
         for g in frontier:
-            for h in GL2_F2[:2]:
+            for h in MATRICES[:2]:
                 img = matmul(h, g)
                 if img not in generated:
                     generated.add(img)
                     new.append(img)
         frontier = new
-    assert generated == set(GL2_F2)
+    assert generated == set(MATRICES)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_identity_matrix_acts_trivially():
 
 
 def test_swap_moves_first_subscript():
-    swap = GL2_F2[0]
+    swap = MATRICES[0]
     only_111 = ArrayCode(128, S3)  # single 1 at (1,1,1)
     moved = act_axis(swap, only_111, 1)
     assert moved.bit((2, 1, 1)) == 1
@@ -109,7 +109,7 @@ def test_swap_moves_first_subscript():
 
 def test_zero_array_fixed_by_every_action():
     zero = ArrayCode(0, S3)
-    for g in GL2_F2:
+    for g in MATRICES:
         for direction in (1, 2, 3):
             assert act_axis(g, zero, direction) == zero
     for p in permutations(3):
@@ -118,7 +118,7 @@ def test_zero_array_fixed_by_every_action():
 
 def test_invalid_direction_rejected():
     with pytest.raises(ValueError, match="direction"):
-        act_axis(GL2_F2[0], ArrayCode(1, S3), 4)
+        act_axis(MATRICES[0], ArrayCode(1, S3), 4)
 
 
 def test_identity_permutation_acts_trivially():
@@ -149,7 +149,7 @@ def test_permutation_fixes_symmetric_array():
 @given(codes_4, st.sampled_from(range(6)), st.sampled_from(range(6)))
 def test_actions_along_distinct_directions_commute(code, gi, hi):
     a = ArrayCode(code, S4)
-    g, h = GL2_F2[gi], GL2_F2[hi]
+    g, h = MATRICES[gi], MATRICES[hi]
     for d1, d2 in itertools.combinations((1, 2, 3, 4), 2):
         assert act_axis(h, act_axis(g, a, d1), d2) == act_axis(
             g, act_axis(h, a, d2), d1
@@ -159,7 +159,7 @@ def test_actions_along_distinct_directions_commute(code, gi, hi):
 @given(codes_4, st.sampled_from(range(6)))
 def test_action_tables_agree_with_scalar_action(code, gi):
     a = ArrayCode(code, S4)
-    g = GL2_F2[gi]
+    g = MATRICES[gi]
     for direction in (1, 2, 3, 4):
         table = axis_action_table(g, direction, 4)
         assert int(table[code]) == act_axis(g, a, direction).code
@@ -255,7 +255,7 @@ def test_labels_are_orbit_invariant_idempotent_minima(n, group):
     else:
         orbits = _orbits(n)
         labels = np.array([orbits.canon(c, group) for c in range(Shape(n).code_count)])
-        rots = [axis_action_table(GL2_F2[1], d, n) for d in range(1, n + 1)]
+        rots = [axis_action_table(MATRICES[1], d, n) for d in range(1, n + 1)]
         tables = tables[:n] + rots + (tables[n:] if group == "large" else [])
     for t in tables:
         assert np.array_equal(labels[t], labels)
@@ -265,17 +265,13 @@ def test_labels_are_orbit_invariant_idempotent_minima(n, group):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_cell_swaps_are_the_elements_they_name(n):
-    # each closure step and merge transposition, applied to every code as one
-    # delta swap, against the oracle's tables: t(j, k) transposes directions
-    # j and k, a(j, k) also swaps the slices along both (GL2_F2[0]), and the
-    # closure's steps end with the slice swap along n
+    # each closure step, merge transposition and slice move, applied to every
+    # code at once, against the oracle's tables: t(j, k) transposes directions
+    # j and k, a(j, k) also swaps the slices along both (MATRICES[0]), the
+    # closure's steps end with the slice swap along n, and along each
+    # direction the swap and the addition are the matrices they name
     codes = np.arange(Shape(n).code_count)
-
-    def swapped(delta, lower):
-        t = (codes ^ codes >> delta) & lower
-        return codes ^ t ^ t << delta
-
-    flip = {d: axis_action_table(GL2_F2[0], d, n) for d in range(1, n + 1)}
+    flip = {d: axis_action_table(MATRICES[0], d, n) for d in range(1, n + 1)}
     named = {}
     for j, k in itertools.combinations(range(1, n + 1), 2):
         perm = [k if d == j else j if d == k else d for d in range(1, n + 1)]
@@ -286,15 +282,20 @@ def test_cell_swaps_are_the_elements_they_name(n):
                          *(("t", j, k) for j in range(k - 2, 0, -1)))]
     expected = [named[key] for key in order] + [flip[n]]
     for step, table in zip(_closure_generators(n), expected, strict=True):
-        assert np.array_equal(swapped(*step), table)
+        assert np.array_equal(_swap(codes, *step), table)
     for j in range(1, n):
-        assert np.array_equal(swapped(*_transposition(n, j, j + 1)), named["t", j, j + 1])
+        assert np.array_equal(_swap(codes, *_transposition(n, j, j + 1)), named["t", j, j + 1])
+    for d in range(1, n + 1):
+        cells = _slice_swap(n, d)
+        assert np.array_equal(_swap(codes, *cells), axis_action_table(((0, 1), (1, 0)), d, n))
+        assert np.array_equal(_add(codes, *cells), axis_action_table(((1, 0), (1, 1)), d, n))
 
 
 def test_slice_tables_carry_each_code_to_its_minimum_and_back():
-    # G3 = GL2_F2**3 on the n = 3 codes, as the slice engine holds it: per
-    # code, mutually inverse tables to and from its orbit minimum; per
-    # minimum, a stabiliser whose order times the orbit's size is |G3|
+    # G3, the matrices along the three directions, on the n = 3 codes, as the
+    # slice engine holds it: per code, mutually inverse tables to and from
+    # its orbit minimum; per minimum, a stabiliser whose order times the
+    # orbit's size is |G3|
     least, to_least, from_least, stabilisers = _slices()
     assert len(_orbits(3).nodes) == 8 and len(_orbits(4).nodes) == 396
     identity = bytes(range(256))
@@ -310,7 +311,7 @@ def test_slice_tables_carry_each_code_to_its_minimum_and_back():
 
 
 def test_action_tables_read_only_and_orbits_dimension_checked():
-    table = axis_action_table(GL2_F2[1], 2, 4)
+    table = axis_action_table(MATRICES[1], 2, 4)
     with pytest.raises(ValueError):
         table[0] = 1
     a = ArrayCode(0, Shape(5))
@@ -334,7 +335,7 @@ def test_orbits_closed_under_generators():
         orbit = set(large_orbit(a))
         sample = rng.sample(sorted(orbit), min(5, len(orbit)))
         for member in sample:
-            for g in GL2_F2:
+            for g in MATRICES:
                 for direction in (1, 2, 3, 4):
                     assert act_axis(g, member, direction) in orbit
             for p in permutations(4):
@@ -428,7 +429,7 @@ def test_stabiliser_times_orbit_size_is_group_order(tables, n, group):
     records = classify(tables[(n, "gf2")], group)
     images = np.array([[rec.canonical.code for rec in records]])
     for d in range(1, n + 1):
-        images = np.concatenate([axis_action_table(g, d, n)[images] for g in GL2_F2])
+        images = np.concatenate([axis_action_table(g, d, n)[images] for g in MATRICES])
     if group == "large":
         images = np.concatenate(
             [permutation_action_table(p, n)[images] for p in permutations(n)]
@@ -448,7 +449,7 @@ def test_rank_invariance_under_all_group_elements(tables):
         ranks = np.zeros(Shape(n).code_count, dtype=np.int64)
         for r, stratum in enumerate(table.strata):
             ranks[np.fromiter(stratum, dtype=np.int64)] = r
-        for g in GL2_F2:
+        for g in MATRICES:
             for direction in range(1, n + 1):
                 action = axis_action_table(g, direction, n)
                 assert (ranks[action] == ranks).all()

@@ -218,23 +218,42 @@ print("checked", len(bitcube.__all__))
 
 
 @pytest.mark.parametrize(
-    "name", ["GroupElement", "AxisPermutation", "all_axis_permutations", "GL2_GENERATORS"])
+    "name",
+    ["GroupElement", "AxisPermutation", "all_axis_permutations", "GL2_GENERATORS", "GL2_F2"])
 def test_removed_group_names_are_gone(name):
-    # the matrices are plain row pairs and the direction permutations are
-    # itertools.permutations(range(1, n + 1)); no value class stands for them
+    # no value stands for the matrices or the direction permutations: the
+    # engine builds the matrices from two slice moves, and the permutations
+    # are itertools.permutations(range(1, n + 1))
     with pytest.raises(ImportError):
         exec(f"from bitcube import {name}", {})
     assert name not in bitcube.__all__
     assert not hasattr(import_module("bitcube.groups"), name)
 
 
-def test_matrices_are_the_six_row_pairs():
-    assert bitcube.GL2_F2 == (
-        ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 1)),
-        ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, 1), (1, 0)),
+def test_public_api_has_34_names():
+    assert len(bitcube.__all__) == 34
+
+
+def test_oracles_load_neither_groups_nor_ranks(tmp_path):
+    # the orbit and rank oracles share no code with the engine they check
+    script = """
+import json, sys
+from orbit_oracle import MATRICES, OrbitMinima, axis_action_table
+from rank_oracle import closure_ranks
+OrbitMinima(3).large(5)
+axis_action_table(MATRICES[0], 1, 3)
+closure_ranks(3, "gf2")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("bitcube"))))
+"""
+    env = _env(tmp_path)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600,
     )
-    assert all(type(g) is tuple and type(g[0]) is tuple for g in bitcube.GL2_F2)
-    assert len(bitcube.__all__) == 35
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = json.loads(proc.stdout)
+    assert "bitcube.arrays" in loaded
+    assert "bitcube.groups" not in loaded and "bitcube.ranks" not in loaded
 
 
 def test_bare_import_loads_no_submodule_and_each_submodule_binds_itself(tmp_path):

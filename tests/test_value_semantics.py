@@ -17,6 +17,9 @@ from bitcube import (
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
+    flatten,
+    outer_product,
+    rank_one_codes,
     stratify,
 )
 
@@ -149,6 +152,26 @@ def test_rejected_input_raises_the_same_error_on_every_route(
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             cls._make(bad_args)
         assert type(cls(*args)._replace(**{field: args[position]})) is cls
+
+
+# every function that takes a shape checks it, with the constructors' message
+SHAPE_TAKERS = {
+    "ArrayCode": lambda shape: ArrayCode(5, shape),
+    "from_text": lambda shape: ArrayCode.from_text("0" * 8, shape),
+    "flatten": lambda shape: flatten({}, shape),
+    "outer_product": lambda shape: outer_product([(1, 1)] * 3, shape),
+    "rank_one_codes": rank_one_codes,
+    "stratify": lambda shape: stratify(shape, "gf2"),
+}
+
+
+@pytest.mark.parametrize("bad", (3, (3,)), ids=("int", "tuple"))
+@pytest.mark.parametrize("call", SHAPE_TAKERS.values(), ids=SHAPE_TAKERS)
+def test_every_function_taking_a_shape_rejects_a_non_shape(call, bad):
+    rank_one_codes(Shape(3))  # a cached Shape(3) must not answer for (3,)
+    message = f"shape must be a Shape, got {type(bad).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class Index:
