@@ -210,6 +210,13 @@ def rank_one_codes(shape: Shape) -> tuple[int, ...]:
     return tuple(sorted(codes))
 
 
+def _delta_swap(x: int, delta: int, lower: int) -> int:
+    """One delta swap (Knuth, TAOCP 4A, 7.1.3): each bit b in lower trades
+    places with bit b + delta; lower and lower << delta must be disjoint."""
+    t = (x ^ x >> delta) & lower
+    return x ^ t ^ t << delta
+
+
 def _cell_swap(n: int, delta: int, bits: int, low: int) -> tuple[int, int]:
     """A map exchanging each cell b with b & bits == low and the cell b + delta,
     as (delta, lower): lower is the bitset of those cells b."""

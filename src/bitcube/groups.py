@@ -7,12 +7,15 @@ the n-fold direct product of the matrix group; the large symmetry group
 extends it by all direction permutations.  Both actions preserve rank.
 With A and B the slices at subscripts 1 and 2 along a direction, the six
 matrices are e, s, a, s∘a, a∘s and s∘a∘s, for the swap s, (A, B) → (B, A),
-and the addition a, (A, B) → (A, A ⊕ B): two moves of cells, _swap and _add.
+and the addition a, (A, B) → (A, A ⊕ B): two moves of cells, the delta swap
+arrays._delta_swap and _add.
 
 The canonical form of an orbit is its minimal member.  Orbits are found
 slice by slice, as in stabiliser chains (Holt, Eick and O'Brien, Handbook
 of Computational Group Theory, ch. 4).  G3, the small group at n = 3, is
 made from the two moves along each direction, as tables on the 256 codes.
+Each code keeps its orbit minimum and one element taking the minimum to it,
+and the inverse of that element is read off its table with bytes.index.
 An n = 4 code is x = A·2**8 + B, its slices along direction 1, and G3 acts
 on both alike.  A node (P, Q), with P a G3-orbit minimum and Q least in its
 orbit under P's stabiliser, is the G3-orbit of the pairs (gP, gB) with B in
@@ -21,7 +24,8 @@ commute with G3, so the small orbits are the classes of nodes that the two
 moves along it join.  At n = 3 a code x is the pair (x, 0).  Direction
 permutations normalise the small group, so the large orbits are the classes
 of small orbits joined by adjacent transpositions, delta swaps like s
-(arrays._transposition).  A class's least node holds its canonical form.
+(arrays._transposition).  A class's least node holds its canonical form,
+and each small orbit is listed under the large orbit that holds it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Literal, NamedTuple
 
-from .arrays import ArrayCode, Shape, UnsupportedShapeError, _slice_swap, _transposition
+from .arrays import (ArrayCode, Shape, UnsupportedShapeError, _delta_swap, _slice_swap,
+                     _transposition)
 from .ranks import RankTable, Semiring
 
 GroupKind = Literal["small", "large"]
@@ -63,12 +68,6 @@ class OrbitSplit(NamedTuple):
 # actions over the whole code space (n = 3, 4)
 # ---------------------------------------------------------------------------
 
-def _swap(x: int, delta: int, lower: int) -> int:
-    # one delta swap: each cell b in lower trades places with the cell b + delta
-    t = (x ^ x >> delta) & lower
-    return x ^ t ^ t << delta
-
-
 def _add(x: int, delta: int, lower: int) -> int:
     # the cell b + delta is added into each cell b in lower
     return x ^ x >> delta & lower
@@ -77,39 +76,39 @@ def _add(x: int, delta: int, lower: int) -> int:
 def _gl2(d: int) -> tuple[bytes, ...]:
     # the six matrices along direction d as tables on the n = 3 codes
     e, cells = bytes(range(256)), _slice_swap(3, d)
-    s, a = (bytes(move(x, *cells) for x in e) for move in (_swap, _add))
+    s, a = (bytes(move(x, *cells) for x in e) for move in (_delta_swap, _add))
     return e, s, a, a.translate(s), s.translate(a), s.translate(a).translate(s)
 
 
 @lru_cache(maxsize=None)
-def _slices() -> tuple[dict, dict, dict, dict]:
-    """G3's orbits on the n = 3 codes: per code, its orbit minimum P and
-    elements taking it to P and back; per P, its stabiliser.
+def _slices() -> tuple[dict, dict, dict]:
+    """G3's orbits on the n = 3 codes: per code, its orbit minimum P and an
+    element taking P to it; per P, its stabiliser.
 
     An element g is its table of 256 bytes, g[x] the image of x: t∘u is
-    u.translate(t), and g's inverse is the table that maps each g[x] to x.
+    u.translate(t), and g's inverse takes y to g.index(y), the place of y.
     """
     d1, d2, d3 = map(_gl2, (1, 2, 3))
     elements = [w.translate(v).translate(u) for u in d1 for v in d2 for w in d3]
-    identity = bytes(range(256))
-    least, to_least, from_least, stabilisers = {}, {}, {}, {}
+    least, from_least, stabilisers = {}, {}, {}
     for p in range(256):
         if p not in least:
             stabilisers[p] = [g for g in elements if g[p] == p]
             for g in elements:
                 if g[p] not in least:
                     least[g[p]], from_least[g[p]] = p, g
-                    to_least[g[p]] = bytes.maketrans(g, identity)
-    return least, to_least, from_least, stabilisers
+    return least, from_least, stabilisers
 
 
 class _Orbits:
     """Small and large orbits of every code of one dimension (n = 3, 4):
     nodes[i] is node i's least code and size, canonical[group][i] its orbit's
-    canonical form, and sizes[group] maps canonical forms to orbit sizes."""
+    canonical form, sizes[group] maps canonical forms to orbit sizes, and split
+    maps each large orbit's canonical form to the (canonical form, size) pairs
+    of its small orbits, ascending."""
 
     def __init__(self, n: int):
-        self.least, self.to_least, self.from_least, stabilisers = _slices()
+        self.least, self.from_least, stabilisers = _slices()
         self.shift, lower = _slice_swap(4, 1) if n == 4 else (0, 0)
         self.nodes: list[tuple[int, int]] = []
         self.node_of: dict[int, dict[int, int]] = {}
@@ -121,15 +120,18 @@ class _Orbits:
                     ids.update(dict.fromkeys(orbit, len(self.nodes)))
                     self.nodes.append((p << self.shift | b, 216 // len(stab) * len(orbit)))
         parent = list(range(len(self.nodes)))
-        moves = [(_swap, self.shift, lower), (_add, self.shift, lower)] if n == 4 else []
+        moves = [(m, self.shift, lower) for m in (_delta_swap, _add)] if n == 4 else []
         small = self._merge(parent, range(len(parent)), moves)
-        swaps = [(_swap, *_transposition(n, j, j + 1)) for j in range(1, n)]
+        swaps = [(_delta_swap, *_transposition(n, j, j + 1)) for j in range(1, n)]
         roots = {"small": small, "large": self._merge(parent, set(small), swaps)}
         self.canonical = {g: [self.nodes[r][0] for r in rs] for g, rs in roots.items()}
         self.sizes = {g: Counter() for g in roots}
         for g, codes in self.canonical.items():
             for (_, size), code in zip(self.nodes, codes):
                 self.sizes[g][code] += size
+        self.split = {code: [] for code in self.sizes["large"]}
+        for code, size in sorted(self.sizes["small"].items()):
+            self.split[self.canon(code, "large")].append((code, size))
 
     def _merge(self, parent: list[int], reps, moves) -> list[int]:
         # join the class of each node in reps, least code x, with that of
@@ -145,8 +147,9 @@ class _Orbits:
         return [find(i) for i in range(len(parent))]
 
     def node(self, x: int) -> int:
+        # (least[a], g⁻¹(b)) for g = from_least[a]: g⁻¹(b) is b's place in g
         a, b = x >> self.shift, x & (1 << self.shift) - 1
-        return self.node_of[self.least[a]][self.to_least[a][b]]
+        return self.node_of[self.least[a]][self.from_least[a].index(b)]
 
     def canon(self, x: int, group: str) -> int:
         return self.canonical[group][self.node(x)]
@@ -231,20 +234,10 @@ def orbit_split(table: RankTable) -> tuple[OrbitSplit, ...]:
     orbit lies inside exactly one large orbit, so the (count, size) pairs
     of an entry multiply and sum back to the large orbit's size.
     """
-    large_records = classify(table, "large")
-    orbits = _orbits(table.shape.n)
-    parts: dict[int, Counter] = {rec.canonical.code: Counter() for rec in large_records}
-    for code, size in orbits.sizes["small"].items():
-        parts[orbits.canon(code, "large")][size] += 1
+    split = _orbits(table.shape.n).split
     return tuple(
-        OrbitSplit(
-            index=i + 1,
-            rank=rec.rank,
-            size=rec.size,
-            parts=tuple(
-                (count, size)
-                for size, count in sorted(parts[rec.canonical.code].items())
-            ),
-        )
-        for i, rec in enumerate(large_records)
+        OrbitSplit(i + 1, rec.rank, rec.size, tuple(
+            (count, size) for size, count in
+            sorted(Counter(size for _, size in split[rec.canonical.code]).items())))
+        for i, rec in enumerate(classify(table, "large"))
     )

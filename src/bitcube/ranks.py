@@ -54,6 +54,7 @@ from .arrays import (
     UnsupportedShapeError,
     _checked_shape,
     _Checked,
+    _delta_swap,
     _slice_swap,
     _transposition,
     outer_product,
@@ -107,17 +108,18 @@ class RankTable(_Checked, NamedTuple("RankTable", [("shape", Shape), ("semiring"
         return _strata(self)
 
     def rank_of_code(self, code: int) -> int:
+        if not 0 <= code < self.shape.code_count:
+            raise ValueError(f"code {code} out of range for dimension {self.shape.n}")
         # level & bit costs as much as the shorter operand, level >> code
         # as much as the part of the level above the code
         bit = 1 << code
         for r, level in enumerate(self.levels):
             if level & bit:
                 return r
-        raise ValueError(f"code {code} out of range for dimension {self.shape.n}")
 
 
 # the characters "0" and "1" to the bytes 0 and 1, for itertools.compress
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FLAGS = bytes(c == ord("1") for c in range(256))
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +180,7 @@ def _cube_closure(codes: int, n: int) -> int:
     for swaps in _closure_steps(n):
         image = codes
         for delta, mask in swaps:
-            t = (image ^ image >> delta) & mask
-            image ^= t | t << delta
+            image = _delta_swap(image, delta, mask)
         codes |= image
     return codes
 

@@ -194,20 +194,12 @@ def split_rule(split: OrbitSplit) -> str:
 
 def rank2_small_split(flat: bool = False) -> Table:
     """The three small orbits inside the rank-2 size-54 large orbit (n=3)."""
-    from .groups import canonical_form, classify
-    table = stratify(Shape(3), Semiring.GF2)
-    big = next(
-        rec for rec in classify(table, "large") if rec.rank == 2 and rec.size == 54
-    )
-    members = [
-        rec for rec in classify(table, "small")
-        if canonical_form(rec.canonical, "large")[0] == big.canonical
-    ]
-    return Table(
-        "small-split-3",
-        ("canonical", "size"),
-        tuple((_canon_cell(rec.canonical, flat), rec.size) for rec in members),
-    )
+    from .groups import _orbits, classify
+    big = next(rec.canonical for rec in classify(stratify(Shape(3), Semiring.GF2), "large")
+               if rec.rank == 2 and rec.size == 54)
+    rows = tuple((_canon_cell(ArrayCode(code, big.shape), flat), size)
+                 for code, size in _orbits(3).split[big.code])
+    return Table("small-split-3", ("canonical", "size"), rows)
 
 
 def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:

@@ -17,8 +17,8 @@ from bitcube import (
     orbit_split,
     small_orbit,
 )
-from bitcube.arrays import _slice_swap, _transposition
-from bitcube.groups import _add, _orbits, _slices, _swap
+from bitcube.arrays import _delta_swap, _slice_swap, _transposition
+from bitcube.groups import _add, _orbits, _slices
 from bitcube.ranks import _closure_generators, _cube_closure
 
 from conftest import SAMPLE_SEED, cube_tables
@@ -282,28 +282,29 @@ def test_cell_swaps_are_the_elements_they_name(n):
                          *(("t", j, k) for j in range(k - 2, 0, -1)))]
     expected = [named[key] for key in order] + [flip[n]]
     for step, table in zip(_closure_generators(n), expected, strict=True):
-        assert np.array_equal(_swap(codes, *step), table)
+        assert np.array_equal(_delta_swap(codes, *step), table)
     for j in range(1, n):
-        assert np.array_equal(_swap(codes, *_transposition(n, j, j + 1)), named["t", j, j + 1])
+        assert np.array_equal(_delta_swap(codes, *_transposition(n, j, j + 1)),
+                              named["t", j, j + 1])
     for d in range(1, n + 1):
         cells = _slice_swap(n, d)
-        assert np.array_equal(_swap(codes, *cells), axis_action_table(((0, 1), (1, 0)), d, n))
+        assert np.array_equal(_delta_swap(codes, *cells),
+                              axis_action_table(((0, 1), (1, 0)), d, n))
         assert np.array_equal(_add(codes, *cells), axis_action_table(((1, 0), (1, 1)), d, n))
 
 
 def test_slice_tables_carry_each_code_to_its_minimum_and_back():
     # G3, the matrices along the three directions, on the n = 3 codes, as the
-    # slice engine holds it: per code, mutually inverse tables to and from
-    # its orbit minimum; per minimum, a stabiliser whose order times the
-    # orbit's size is |G3|
-    least, to_least, from_least, stabilisers = _slices()
+    # slice engine holds it: per code, a permutation table taking its orbit
+    # minimum to it, whose inverse is read with bytes.index; per minimum, a
+    # stabiliser whose order times the orbit's size is |G3|
+    least, from_least, stabilisers = _slices()
     assert len(_orbits(3).nodes) == 8 and len(_orbits(4).nodes) == 396
     identity = bytes(range(256))
     for a in range(256):
         assert least[least[a]] == least[a] <= a
-        assert to_least[a][a] == least[a] and from_least[a][least[a]] == a
-        assert to_least[a].translate(from_least[a]) == identity
-        assert from_least[a].translate(to_least[a]) == identity
+        assert from_least[a][least[a]] == a and from_least[a].index(a) == least[a]
+        assert bytes(sorted(from_least[a])) == identity
     orbit_sizes = Counter(least.values())
     assert set(orbit_sizes) == set(stabilisers)
     for p, stabiliser in stabilisers.items():

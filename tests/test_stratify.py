@@ -116,8 +116,9 @@ def test_rank_of_code_equals_unreduced_closure(tables, closure, sample_codes_4):
         ref = closure[(n, tag)]
         for code in range(256) if n == 3 else sample_codes_4[:2000]:
             assert table.rank_of_code(code) == ref[code], (n, tag, code)
-        with pytest.raises(ValueError):
-            table.rank_of_code(Shape(n).code_count)
+        for code in (-1, Shape(n).code_count):
+            with pytest.raises(ValueError, match=f"code {code} out of range for dimension {n}"):
+                table.rank_of_code(code)
 
 
 def test_ranks_invariant_under_cube_tables(closure):
