@@ -44,15 +44,17 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # the level step of each semiring, the rank-1 seed and the closure
-    Mutant("ranks", "level = level >> (1 << b) & clear[b] | low << (1 << b)",
-           "level = level & ~clear[b] | low << (1 << b)",
+    Mutant("ranks", "sums = sums >> (1 << b) & clear[b] | low << (1 << b)",
+           "sums = sums & ~clear[b] | low << (1 << b)",
            "GF(2) sums add like or: 1 + 1 = 1"),
-    Mutant("ranks", "level = level ^ low | low << (1 << b)",
-           "level = low << (1 << b)",
+    Mutant("ranks", "sums = sums ^ low | low << (1 << b)",
+           "sums = low << (1 << b)",
            "Boolean sums drop the members that hold bit b"),
-    Mutant("ranks", "level = low << (1 << b)",
-           "level = level ^ low | low << (1 << b)",
+    Mutant("ranks", "sums = low << (1 << b)",
+           "sums = sums ^ low | low << (1 << b)",
            "integer sums admit overlapping supports"),
+    Mutant("ranks", "ys if semiring is Semiring.GF2 else ys[:n]):", "ys[:n]):",
+           "GF(2) sums skip the all-ones code J"),
     Mutant("ranks", "for y in rank_one_codes(Shape(n))))",
            "for y in rank_one_codes(Shape(n))[1:]))",
            "the rank-1 level misses its least code"),
@@ -65,6 +67,10 @@ MUTANTS = [
            "the closure takes no transposition t(1, k) for k > 2"),
     Mutant("ranks", "return (*steps, _slice_swap(n, n))", "return tuple(steps)",
            "the closure takes no slice swap: Dn in place of Bn"),
+    Mutant("ranks", "for chain in ([(1,)], ys", "for chain in ([], ys",
+           "the level step, closed under Dn, lacks the odd single cell"),
+    Mutant("ranks", "for chain in ([(1,)], ys", "for chain in ([(0,)], ys",
+           "the level step adds the even single cell, code bit 0, in place of the odd one"),
     Mutant("arrays", "return x ^ t ^ t << delta", "return x ^ t",
            "the delta swap clears the upper cells in place of filling them"),
     # the guards of the rank tables
@@ -101,7 +107,7 @@ MUTANTS = [
            "self.split.setdefault(code, []).append",
            "the small-in-large map is keyed by the small canonical form"),
     # the tables and verify
-    Mutant("reporting", "ArrayCode((codes & -codes).bit_length() - 1,",
+    Mutant("ranks", "ArrayCode((codes & -codes).bit_length() - 1,",
            "ArrayCode(codes.bit_length() - 1,",
            "a partition's representative is its greatest code"),
     Mutant("reporting", "scaled = (2 * count * 100 * 10**decimals + total) // (2 * total)",
@@ -116,17 +122,12 @@ MUTANTS = [
            "--group with --semiring bool is not a usage error"),
     Mutant("cli", "raise UsageError(str(exc)) from None", "raise",
            "a malformed array to rank is a traceback, not a usage error"),
-    # the equivalent mutants
-    Mutant("reporting", "return (-(-total // small_order), -(-total // large_order))",
+    # the equivalent mutant
+    Mutant("ranks", "return (-(-total // small_order), -(-total // large_order))",
            "return (total // small_order + 1, total // large_order + 1)",
            "the orbit-count lower bounds round a whole quotient up",
            equivalent="6**n has the factor 3**n, so neither 6**n nor 6**n * n! divides "
                       "2**(2**n) and every quotient has a fraction: ceiling = floor + 1"),
-    Mutant("ranks", "for bits in ys if semiring is Semiring.GF2 else ys[:n]:",
-           "for bits in ys[:n]:",
-           "GF(2) sums skip the all-ones code J",
-           equivalent="at n = 3 and 4 the GF(2) levels come out the same without J; "
-                      "this holds by computation, not by proof"),
 ]
 
 

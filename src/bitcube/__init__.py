@@ -42,13 +42,13 @@ _LAZY = {
     "arrays": ("ArrayCode", "NONZERO_VECS", "Shape", "ShapeMismatchError",
                "UnsupportedShapeError", "flatten", "outer_product", "rank_one_codes",
                "render_mat", "unflatten"),
-    "ranks": ("RankTable", "Semiring", "rank_of", "stratify"),
+    "ranks": ("PartitionRow", "RankTable", "Semiring", "lower_bounds", "partition_by_ones",
+              "rank_of", "stratify"),
     "cache": ("CacheError", "dump_table", "load_table"),
     "groups": ("OrbitRecord", "OrbitSplit", "canonical_form", "classify",
                "large_orbit", "orbit_split", "small_orbit"),
     "expected": ("VerifyReport", "verify_all"),
-    "reporting": ("PartitionRow", "RankShare", "emit_all_tables", "emit_table",
-                  "lower_bounds", "partition_by_ones", "rank_distribution"),
+    "reporting": ("RankShare", "emit_all_tables", "emit_table", "rank_distribution"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -36,7 +36,7 @@ from typing import Literal, NamedTuple
 
 from .arrays import (ArrayCode, Shape, UnsupportedShapeError, _delta_swap, _slice_swap,
                      _transposition)
-from .ranks import RankTable, Semiring
+from .ranks import RankTable, Semiring, stratify
 
 GroupKind = Literal["small", "large"]
 
@@ -165,6 +165,14 @@ class _Orbits:
 
 
 _orbits = lru_cache(maxsize=None)(_Orbits)
+
+
+def _rank2_small_split() -> list[tuple[ArrayCode, int]]:
+    # the canonical form and size of each small orbit in the one large orbit
+    # of rank 2 and size 54 at n = 3, ascending
+    large = classify(stratify(Shape(3), Semiring.GF2), "large")
+    big = next(rec.canonical for rec in large if rec.rank == 2 and rec.size == 54)
+    return [(ArrayCode(code, big.shape), size) for code, size in _orbits(3).split[big.code]]
 
 
 def _orbits_of(shape: Shape, group: str) -> _Orbits:

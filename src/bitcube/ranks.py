@@ -1,4 +1,6 @@
-"""Exact tensor-rank stratification of all codes of one shape.
+"""Exact tensor-rank stratification of all codes of one shape, and what is
+read off its levels and code counts: rank/ones partitions and orbit-count
+lower bounds.
 
 Rank is the minimal number of rank-1 terms summing to an array, where the
 meaning of "sum" is selected by the semiring: exclusive-or for the field
@@ -15,33 +17,41 @@ bits of a bitset, and a swap of two code bits i < j moves each member c
 with bit i set and bit j clear by 2**j - 2**i, all at once: one delta swap
 (Knuth, The Art of Computer Programming 4A, 7.1.3).
 
-In all three semirings the level is translated by one rank-1 code per orbit
-of the n-cube's symmetry group Bn (order 2**n * n!: slice swaps and
-direction permutations), one code bit at a time, and the union is then
-closed under that group.  For the integer case x + y is x | y with
-x & y == 0, so a member that holds a bit of the code drops out.  The group
-permutes cells, so it maps rank-1 arrays to rank-1 arrays, commutes with
-xor and or and keeps disjoint supports disjoint: every level is a union of
-orbits, and g(x) + y = g(x + g⁻¹(y)), so the closure holds every sum.
+The n-cube's symmetry group Bn (order 2**n * n!: slice swaps and direction
+permutations) permutes cells, so it maps rank-1 arrays to rank-1 arrays,
+commutes with xor and or and keeps disjoint supports disjoint: every level
+is a union of orbits, and g(x) + y = g(x + g⁻¹(y)).  So in all three
+semirings the level is translated by one rank-1 code per orbit of a
+subgroup G, one code bit at a time, and the union is then closed under G.
+For the integer case x + y is x | y with x & y == 0, so a member that holds
+a bit of the code drops out.  G is Dn, the index-2 subgroup that swaps an
+even number of slices.  The Bn-orbits of rank-1 codes are those of y_f,
+with f factors (1, 1) and the rest (0, 1).  For f > 0 the slice swap along
+a (1, 1) factor fixes y_f and is odd, so its Bn-orbit is one Dn-orbit.  The
+orbit of y_0, the single cells, has stabiliser Sn, which lies in Dn, so it
+splits in two: the cells with an even and with an odd number of subscripts
+equal to 1.  y_0 is in the even half, and the cell with subscript 1 along
+direction n only, code bit 1, stands for the odd one.
 
 The closure takes S = S | g(S) along a sequence of steps g, so it holds the
 images under their product set {e, g_m}···{e, g_1}.  Each step is a cell
 swap: it exchanges each of a set of lower cells b with the cell b + delta,
 one delta for all, and so lifts to one delta swap of the code bits b and
-b + delta per lower cell.  The steps are reflections of the index-2
-subgroup Dn that swaps an even number of slices: transpositions t(j, k) of
-two directions, and anti-transpositions a(j, k) that also flip both, each
-with 2**(n - 2) lower cells; a slice swap has 2**(n - 1).  Dk-1 has 2k
-cosets in Dk, one per direction that k can go to, flipped or not: with
-t = t(k - 1, k) and a = a(k - 1, k), the products e, a·t, t, a, t(j, k) and
-t(j, k)·a·t reach all 2k, so the steps t, a, t(k - 2, k), ..., t(1, k) for
-k = 2..n reach Dn.  One slice swap doubles Dn to Bn (Humphreys,
-Reflection Groups and Coxeter Groups, 2.10): 44 delta swaps at n = 4.
+b + delta per lower cell.  The steps are reflections of Dn: transpositions
+t(j, k) of two directions, and anti-transpositions a(j, k) that also flip
+both, each with 2**(n - 2) lower cells; a slice swap has 2**(n - 1).  Dk-1
+has 2k cosets in Dk, one per direction that k can go to, flipped or not:
+with t = t(k - 1, k) and a = a(k - 1, k), the products e, a·t, t, a,
+t(j, k) and t(j, k)·a·t reach all 2k, so the steps t, a, t(k - 2, k), ...,
+t(1, k) for k = 2..n reach Dn: 36 delta swaps at n = 4, the level step's
+closure.  One slice swap doubles Dn to Bn (Humphreys, Reflection Groups and
+Coxeter Groups, 2.10): 44 delta swaps, the cube closure.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import index, or_
@@ -143,7 +153,7 @@ def rank_of(a: ArrayCode, table: RankTable) -> int:
 def _closure_generators(n: int) -> tuple[tuple[int, int], ...]:
     """The closure's steps as cell swaps: per k = 2..n, t(k - 1, k),
     a(k - 1, k) and t(j, k) for j = k - 2 down to 1; then the slice swap
-    along direction n."""
+    along direction n, the one step outside Dn."""
     steps = []
     for k in range(2, n + 1):
         steps += [_transposition(n, k - 1, k), _transposition(n, k - 1, k, anti=True),
@@ -175,14 +185,19 @@ def _closure_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for d, lower in _closure_generators(n))
 
 
-def _cube_closure(codes: int, n: int) -> int:
-    """The union of the images of a set of codes under the n-cube's group."""
-    for swaps in _closure_steps(n):
+def _close(codes: int, steps) -> int:
+    # S = S | g(S) for each step g, a sequence of delta swaps
+    for swaps in steps:
         image = codes
         for delta, mask in swaps:
             image = _delta_swap(image, delta, mask)
         codes |= image
     return codes
+
+
+def _cube_closure(codes: int, n: int) -> int:
+    """The union of the images of a set of codes under the n-cube's group."""
+    return _close(codes, _closure_steps(n))
 
 
 @lru_cache(maxsize=None)
@@ -198,22 +213,25 @@ def _orbit_bits(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _sums(level: int, n: int, semiring: Semiring) -> int:
     """Every sum x + y of a member x of the level and a rank-1 code y."""
-    # add y_f one code bit b at a time: members with bit b clear move up by
+    # add the odd single cell, code bit 1; then y_0, y_1, ..., each holding the
+    # one before, one code bit b at a time: members with bit b clear move up by
     # 2**b, those with it set move down (xor), stay (or) or drop out (integer).
     # J = y_n, all ones, adds nothing to a Boolean or integer level: x ∨ J = J
     # has rank 1, and x + J needs x = 0.  Only the field adds it.
     clear, union, ys = _clear_masks(n), 0, _orbit_bits(n)
-    for bits in ys if semiring is Semiring.GF2 else ys[:n]:
-        for b in bits:
-            low = level & clear[b]
-            if semiring is Semiring.GF2:
-                level = level >> (1 << b) & clear[b] | low << (1 << b)
-            elif semiring is Semiring.BOOLEAN:
-                level = level ^ low | low << (1 << b)
-            else:
-                level = low << (1 << b)
-        union |= level
-    return _cube_closure(union, n)
+    for chain in ([(1,)], ys if semiring is Semiring.GF2 else ys[:n]):
+        sums = level
+        for bits in chain:
+            for b in bits:
+                low = sums & clear[b]
+                if semiring is Semiring.GF2:
+                    sums = sums >> (1 << b) & clear[b] | low << (1 << b)
+                elif semiring is Semiring.BOOLEAN:
+                    sums = sums ^ low | low << (1 << b)
+                else:
+                    sums = low << (1 << b)
+            union |= sums
+    return _close(union, _closure_steps(n)[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -244,3 +262,53 @@ def stratify(shape: Shape, semiring: Semiring) -> RankTable:
         )
     return _stratify(shape.n, semiring)
 
+
+def lower_bounds(n: int) -> tuple[int, int]:
+    """Orbit-count lower bounds for the small and large symmetry groups.
+
+    Exact integer ceilings of 2**(2**n)/6**n and 2**(2**n)/(6**n n!);
+    the n = 6 values exceed 64 bits, hence big-integer arithmetic.
+    """
+    if not 3 <= n <= 6:
+        raise ValueError(f"lower bounds are defined for n in 3..6, got {n}")
+    total = 1 << (1 << n)
+    small_order = 6**n
+    large_order = small_order * math.factorial(n)
+    return (-(-total // small_order), -(-total // large_order))
+
+
+class PartitionRow(NamedTuple):
+    """Arrays of one (rank, ones) class: count and minimal representative."""
+
+    rank: int
+    ones: int
+    count: int
+    representative: ArrayCode
+
+
+@lru_cache(maxsize=None)
+def _ones_masks(n: int) -> tuple[int, ...]:
+    # per count w, the bitset of the codes with w ones: the codes below
+    # 2**(b + 1) with w ones are those below 2**b with w ones, and those
+    # with w - 1 ones plus 2**b
+    masks = [1]
+    for b in range(1 << n):
+        masks = [low | high << (1 << b) for low, high in zip(masks + [0], [0] + masks)]
+    return tuple(masks)
+
+
+def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
+    """Partition each stratum by the number of entries equal to 1.
+
+    Rows are sorted by (rank, ones); empty classes are omitted.  Each class
+    is a level of the table intersected with the codes of one ones count;
+    its representative is its minimum, the lowest set bit.
+    """
+    rows = []
+    for rank, level in enumerate(table.levels):
+        for ones, mask in enumerate(_ones_masks(table.shape.n)):
+            codes = level & mask
+            if codes:
+                minimum = ArrayCode((codes & -codes).bit_length() - 1, table.shape)
+                rows.append(PartitionRow(rank, ones, codes.bit_count(), minimum))
+    return tuple(rows)

@@ -1,4 +1,4 @@
-"""Lower bounds, rank distributions, rank/ones partitions and table emission.
+"""Rank distributions and table emission.
 
 Every table reaches text the same way: `build_table` assembles a table
 kind (see TABLE_KINDS) as a `Table` and `render_table` renders it as
@@ -14,31 +14,18 @@ with the reference dataset lives beside it, in `expected`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape, _mat_rows
-from .ranks import RankTable, Semiring, stratify
+from .ranks import (PartitionRow, RankTable, Semiring, lower_bounds,
+                    partition_by_ones, stratify)
 
 # groups, csv and json are imported by the functions that use them, so that
-# each command loads only what it runs.
+# each command loads only what it runs.  The partitions and the lower bounds
+# live in ranks, for verify, and are bound here for the tables.
 
 Cell = Union[int, str]
-
-
-def lower_bounds(n: int) -> tuple[int, int]:
-    """Orbit-count lower bounds for the small and large symmetry groups.
-
-    Exact integer ceilings of 2**(2**n)/6**n and 2**(2**n)/(6**n n!);
-    the n = 6 values exceed 64 bits, hence big-integer arithmetic.
-    """
-    if not 3 <= n <= 6:
-        raise ValueError(f"lower bounds are defined for n in 3..6, got {n}")
-    total = 1 << (1 << n)
-    small_order = 6**n
-    large_order = small_order * math.factorial(n)
-    return (-(-total // small_order), -(-total // large_order))
 
 
 # Decimal places of the percentage column, per dimension; these mirror the
@@ -76,43 +63,6 @@ def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
         )
         for r, count in enumerate(table.stratum_sizes)
     )
-
-
-class PartitionRow(NamedTuple):
-    """Arrays of one (rank, ones) class: count and minimal representative."""
-
-    rank: int
-    ones: int
-    count: int
-    representative: ArrayCode
-
-
-@lru_cache(maxsize=None)
-def _ones_masks(n: int) -> tuple[int, ...]:
-    # per count w, the bitset of the codes with w ones: the codes below
-    # 2**(b + 1) with w ones are those below 2**b with w ones, and those
-    # with w - 1 ones plus 2**b
-    masks = [1]
-    for b in range(1 << n):
-        masks = [low | high << (1 << b) for low, high in zip(masks + [0], [0] + masks)]
-    return tuple(masks)
-
-
-def partition_by_ones(table: RankTable) -> tuple[PartitionRow, ...]:
-    """Partition each stratum by the number of entries equal to 1.
-
-    Rows are sorted by (rank, ones); empty classes are omitted.  Each class
-    is a level of the table intersected with the codes of one ones count;
-    its representative is its minimum, the lowest set bit.
-    """
-    rows = []
-    for rank, level in enumerate(table.levels):
-        for ones, mask in enumerate(_ones_masks(table.shape.n)):
-            codes = level & mask
-            if codes:
-                minimum = ArrayCode((codes & -codes).bit_length() - 1, table.shape)
-                rows.append(PartitionRow(rank, ones, codes.bit_count(), minimum))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +144,8 @@ def split_rule(split: OrbitSplit) -> str:
 
 def rank2_small_split(flat: bool = False) -> Table:
     """The three small orbits inside the rank-2 size-54 large orbit (n=3)."""
-    from .groups import _orbits, classify
-    big = next(rec.canonical for rec in classify(stratify(Shape(3), Semiring.GF2), "large")
-               if rec.rank == 2 and rec.size == 54)
-    rows = tuple((_canon_cell(ArrayCode(code, big.shape), flat), size)
-                 for code, size in _orbits(3).split[big.code])
+    from .groups import _rank2_small_split
+    rows = tuple((_canon_cell(form, flat), size) for form, size in _rank2_small_split())
     return Table("small-split-3", ("canonical", "size"), rows)
 
 

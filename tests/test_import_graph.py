@@ -182,6 +182,16 @@ def test_table_commands_load_no_fractions_and_no_dataset(tmp_path, argv):
         assert name not in modules
 
 
+def test_verify_loads_only_what_it_runs(tmp_path):
+    # verify reads the partitions and the lower bounds from ranks and the
+    # rank-2 small split from groups: none of the table code in reporting
+    code, modules = loaded_modules(tmp_path, "verify", "--scope", "all")
+    assert code == 0
+    assert {"bitcube.expected", "bitcube.groups", "bitcube.ranks"} <= modules
+    for name in ("bitcube.reporting", "bitcube.cache", "json", "csv", "numpy"):
+        assert name not in modules
+
+
 def test_verify_loads_no_cache(tmp_path):
     code, modules = loaded_modules(tmp_path, "verify", "--scope", "3")
     assert code == 0

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,8 @@ from bitcube import (
     rank_one_codes,
     stratify,
 )
-from bitcube.ranks import _closure_generators, _closure_steps, _cube_closure, _stratify
+import bitcube.ranks
+from bitcube.ranks import _closure_generators, _cube_closure, _stratify, _sums
 from bitcube.reporting import emit_table, percent_text
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import OrbitMinima, cube_cell_maps
@@ -33,8 +35,18 @@ def test_stratify_rejects_large_dimensions():
 
 
 def test_empty_level_raises_instead_of_looping(monkeypatch):
-    # a level step that finds nothing new would otherwise repeat for ever
-    monkeypatch.setattr("bitcube.ranks._sums", lambda level, n, semiring: 0)
+    # a level step that finds nothing new would otherwise repeat for ever.
+    # The stand-in finds nothing; without the guard it would be called again,
+    # and from its fourth call on it raises an error this test does not expect.
+    calls = []
+
+    def nothing_new(level, n, semiring):
+        calls.append(level)
+        if len(calls) > 3:
+            raise AssertionError("the level step ran on after an empty level")
+        return 0
+
+    monkeypatch.setattr("bitcube.ranks._sums", nothing_new)
     _stratify.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="rank level 2 is empty"):
@@ -121,6 +133,38 @@ def test_rank_of_code_equals_unreduced_closure(tables, closure, sample_codes_4):
                 table.rank_of_code(code)
 
 
+def _rank_one_codes(n):
+    # the 3**n outer products of nonzero 2-vectors; the cell of subscripts
+    # (i_1, ..., i_n) is linear position i in lexicographic order, code bit
+    # 2**n - 1 - i, so the first cell is the top bit
+    cells = np.array(list(itertools.product((0, 1), repeat=n)))
+    weights = 1 << np.arange((1 << n) - 1, -1, -1)
+    vectors = np.array([(0, 1), (1, 0), (1, 1)])
+    return np.array([np.prod(vectors[np.array(f)[:, None], cells.T], axis=0) @ weights
+                     for f in itertools.product(range(3), repeat=n)])
+
+
+def test_level_step_is_every_sum_with_a_rank_one_code(tables):
+    # _sums(level) against x + y over every member x and all 3**n rank-1 codes
+    # y, as arrays.  J, all ones, has rank 1 and is ranked before any level
+    # step; the Boolean and integer steps leave it out (x ∨ J = J, and x + J
+    # needs x = 0), so there it may be missing, and it is nothing else.
+    for (n, tag), table in tables.items():
+        ys, size = _rank_one_codes(n), 1 << (1 << n)
+        assert len(set(ys.tolist())) == 3**n
+        all_ones = 1 << (size - 1)
+        for r, level in enumerate(table.levels):
+            flags = np.unpackbits(np.frombuffer(level.to_bytes(size // 8, "little"), np.uint8),
+                                  bitorder="little")
+            x = np.flatnonzero(flags)[:, None]
+            sums = {"gf2": x ^ ys, "bool": x | ys, "nat": (x | ys)[(x & ys) == 0]}[tag]
+            reference = np.zeros(size, dtype=bool)
+            reference[sums.ravel()] = True
+            expected = _bitset(reference)
+            allowed = {expected} if tag == "gf2" else {expected, expected & ~all_ones}
+            assert _sums(level, n, Semiring(tag)) in allowed, (n, tag, r)
+
+
 def test_ranks_invariant_under_cube_tables(closure):
     # the premise of expanding one code per orbit of the cube's symmetries
     for (n, _), ref in closure.items():
@@ -147,24 +191,47 @@ def test_closure_steps_reach_the_whole_cube_group(n):
     # the closure holds the images under the product set of its steps, taken
     # as S = S | g∘S; with each element as the source of each code bit's
     # entry, that set must be the oracle's group of order 2**n * n!.  A step
-    # (delta, lower) exchanges each cell b in lower with b + delta.
+    # (delta, lower) exchanges each cell b in lower with b + delta.  All steps
+    # but the last, the level step's closure, must reach the elements that
+    # flip an even number of directions: an element takes each code bit b to
+    # p(b) xor f, with f the directions it flips, so its source of bit 0 is
+    # p⁻¹(f), of the same weight as f.
     group = cube_cell_maps(n)
+    even = {s for s in group if s[0].bit_count() % 2 == 0}
     assert len(group) == 2**n * math.factorial(n)
-    product = {tuple(range(1 << n))}
-    for delta, lower in _closure_generators(n):
+    assert len(even) == 2 ** (n - 1) * math.factorial(n)
+    product, steps = {tuple(range(1 << n))}, _closure_generators(n)
+    for i, (delta, lower) in enumerate(steps, 1):
         source = list(range(1 << n))
         for b in range(1 << n):
             if lower >> b & 1:
                 source[b], source[b + delta] = b + delta, b
         product |= {tuple(s[b] for b in source) for s in product}
+        if i == len(steps) - 1:
+            assert product == even
     assert product == group
 
 
-def test_closure_takes_14_and_44_delta_swaps():
+def test_closure_takes_14_and_44_delta_swaps(monkeypatch, tables):
     # one delta swap per pair of code bits a step exchanges; the n slice
     # swaps and a bubble sequence of adjacent transpositions would take 18
-    # and 56
-    assert [sum(map(len, _closure_steps(n))) for n in (3, 4)] == [14, 44]
+    # and 56.  The level step closes under Dn alone: 10 and 36.
+    calls = []
+    delta_swap = bitcube.ranks._delta_swap
+
+    def counted(*args):
+        calls.append(args)
+        return delta_swap(*args)
+
+    def swaps(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    monkeypatch.setattr("bitcube.ranks._delta_swap", counted)
+    assert [swaps(lambda: _cube_closure(2, n)) for n in (3, 4)] == [14, 44]
+    assert [swaps(lambda: _sums(tables[(n, "gf2")].levels[2], n, Semiring.GF2))
+            for n in (3, 4)] == [10, 36]
 
 
 def test_cube_orbit_counts():
