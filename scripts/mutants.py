@@ -122,6 +122,21 @@ MUTANTS = [
            "--group with --semiring bool is not a usage error"),
     Mutant("cli", "raise UsageError(str(exc)) from None", "raise",
            "a malformed array to rank is a traceback, not a usage error"),
+    # the guards of the strict parser, which leaves every other argv to argparse
+    Mutant("cli", "argv[i] in options and argv[i] not in given:", "argv[i] in options:",
+           "the strict parser takes a repeated option"),
+    Mutant("cli", "elif given[name] in map(str, keywords[\"choices\"]):", "elif True:",
+           "the strict parser skips the choices check"),
+    Mutant("cli", "if keywords.get(\"required\"):", "if False:",
+           "the strict parser skips the required check"),
+    Mutant("cli", "any(word.startswith(\"-\") for word in argv[i:])", "False",
+           "the strict parser takes a `-`-prefixed token as a positional"),
+    Mutant("cli", "if i == len(argv) or any(", "if any(",
+           "the strict parser takes no positional for nargs=\"+\""),
+    Mutant("cli", "return namespace if i == len(argv) else None", "return namespace",
+           "the strict parser drops positionals given to a command that has none"),
+    Mutant("cli", "elif i + 1 < len(argv):", "elif True:",
+           "the strict parser takes an option with its value missing"),
     # the equivalent mutant
     Mutant("ranks", "return (-(-total // small_order), -(-total // large_order))",
            "return (total // small_order + 1, total // large_order + 1)",

@@ -15,20 +15,27 @@ Each command imports only the modules it runs.  Every command needs the codes
 in `arrays` and the rank levels in `ranks`; the symmetry groups, the table
 code in `reporting` and the reference dataset are imported inside the
 commands that need them, so a plain `rank` or `export` loads none of them.
-`main` builds the parser of the named subcommand alone, from `_COMMANDS`,
-and takes its format and table-kind choices from the package.  No command
-loads numpy.
+`main` parses a canonical argv itself, from `_COMMANDS`: the subcommand,
+each of its options once as `--name value` (or a bare `--flat`), then the
+positionals, each value spelt as one of its choices.  Any other argv goes to
+argparse, which `build_parser` alone imports, so help and every usage error
+are argparse's own.  The format and table-kind choices come from the
+package.  No command loads numpy.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import FORMATS, TABLE_KINDS
 from .arrays import ArrayCode, Shape
 from .ranks import Semiring, rank_of, stratify
+
+if TYPE_CHECKING:
+    import argparse
+    Namespace = argparse.Namespace | SimpleNamespace
 
 _SEMIRINGS = [s.value for s in Semiring]
 
@@ -51,11 +58,11 @@ def _print_table(kind: str, fmt: str, flat: bool = False) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: Namespace) -> int:
     return _print_table(f"strata-{args.n}-{args.semiring}", args.format)
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: Namespace) -> int:
     semiring = Semiring(args.semiring)
     if args.group is not None:
         _require_field_for_group(semiring)
@@ -73,7 +80,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: Namespace) -> int:
     from .groups import classify
     from .reporting import orbit_records_table, render_table
     semiring = Semiring(args.semiring)
@@ -88,7 +95,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: Namespace) -> int:
     if args.format != "text":
         return _print_table(f"split-{args.n}", args.format)
     from .groups import orbit_split
@@ -98,11 +105,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: Namespace) -> int:
     return _print_table("lower-bounds", args.format)
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: Namespace) -> int:
     """One stratification as JSON, every stratum on a line of its own."""
     import json
     table = stratify(Shape(args.n), Semiring(args.semiring))
@@ -120,7 +127,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
+def cmd_tables(args: Namespace) -> int:
     if args.kind != "all":
         return _print_table(args.kind, args.format, args.flat)
     from .reporting import emit_all_tables
@@ -128,7 +135,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Namespace) -> int:
     from .expected import verify_all
     report = verify_all(args.scope)
     for line in report.lines():
@@ -175,6 +182,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     A lone subcommand's parser keeps the full choice list in the top-level
     usage, so its errors print the same text as the full parser's.
     """
+    import argparse
     parser = argparse.ArgumentParser(
         prog="bitcube",
         description="Rank and symmetry classification of 0-1 arrays of shape "
@@ -191,12 +199,50 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a canonical argv, or None for argparse."""
+    if not argv or argv[0] not in _NAMES:
+        return None
+    _, _, func, arguments = _COMMANDS[_NAMES.index(argv[0])]
+    options = {name: keywords for name, keywords in arguments if name[0] == "-"}
+    given, i = {}, 1
+    while i < len(argv) and argv[i] in options and argv[i] not in given:
+        if options[argv[i]].get("action") == "store_true":
+            given[argv[i]], i = True, i + 1
+        elif i + 1 < len(argv):
+            given[argv[i]], i = argv[i + 1], i + 2
+        else:
+            return None
+    namespace = SimpleNamespace(command=argv[0], func=func)
+    for name, keywords in arguments:
+        flag = keywords.get("action") == "store_true"
+        if name[0] != "-":  # the one positional, nargs="+"
+            if i == len(argv) or any(word.startswith("-") for word in argv[i:]):
+                return None
+            value, i = argv[i:], len(argv)
+        elif name not in given:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default", False if flag else None)
+        elif flag:
+            value = True
+        elif given[name] in map(str, keywords["choices"]):
+            value = keywords.get("type", str)(given[name])
+        else:
+            return None
+        setattr(namespace, name.lstrip("-"), value)
+    return namespace if i == len(argv) else None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # only the named subcommand's parser is built; --help, no arguments and
-    # an unknown name get every one, so that they list them all
+    # a canonical argv skips argparse; any other gets the parser of the named
+    # subcommand alone, or, for --help, no arguments and an unknown name, of
+    # every one, so that they list them all
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _NAMES else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _NAMES else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

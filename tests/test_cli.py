@@ -1,13 +1,16 @@
+import contextlib
+import io
 import os
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitcube.expected
 from bitcube import ArrayCode, Shape
-from bitcube.cli import build_parser, main
+from bitcube.cli import _COMMANDS, _NAMES, _parse, build_parser, main
 
 from conftest import SAMPLE_SEED
 from orbit_oracle import OrbitMinima, large_orbit_naive, small_orbit_naive
@@ -246,6 +249,99 @@ def test_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "5", "--semiring", "gf2"])
     assert exc.value.code == 2
+
+
+# The strict parser answers a canonical argv without argparse and declines
+# every other; argparse must give what it answers and reject nothing it takes.
+
+PARSER = build_parser()
+OPTIONS = {name: keywords for *_, arguments in _COMMANDS for name, keywords in arguments
+           if name.startswith("-")}
+CODES = ("0110", "1001", "01101011", "0110101110111101", "0 1", "")
+VALUES = sorted({str(c) for keywords in OPTIONS.values() for c in keywords.get("choices", ())}
+                | {"5", "x", " 4", "04", "4.0", "GF2", "-4", "-x", "-0110", "-", "--"})
+TOKENS = sorted(
+    {*_NAMES, "nosuch", "-h", "--help", *CODES, *VALUES}
+    | {name[:k] for name in (*OPTIONS, *_NAMES) for k in range(1, len(name) + 1)}
+    | {f"{name}={value}" for name in OPTIONS for value in ("4", "gf2", "md", "")})
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@st.composite
+def near_canonical_argv(draw):
+    """A command's options in any order, some left out, values valid or not,
+    then codes, and then a few tokens inserted or deleted anywhere."""
+    name, _, _, arguments = draw(st.sampled_from(_COMMANDS))
+    argv = [name]
+    for option, keywords in draw(st.permutations(arguments)):
+        if not option.startswith("-") or not draw(st.integers(0, 7)):
+            continue
+        argv.append(option)
+        if keywords.get("action") != "store_true":
+            choices = [str(c) for c in keywords["choices"]]
+            argv.append(draw(st.sampled_from(choices) if draw(st.integers(0, 7))
+                             else st.sampled_from(VALUES)))
+    argv += draw(st.lists(st.sampled_from(CODES), max_size=3))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        if argv and draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(max_examples=600)
+@given(st.one_of(near_canonical_argv(), st.lists(st.sampled_from(TOKENS), max_size=8)))
+def test_strict_parser_answers_only_as_argparse_does(argv):
+    # whenever the strict parser answers, argparse gives an equal namespace,
+    # so whenever argparse exits, the strict parser declines
+    strict = _parse(argv)
+    if strict is not None:
+        assert vars(strict) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_ARGV))
+def test_strict_parser_answers_canonical_argv(command):
+    argv = [command, *SAMPLE_ARGV[command]]
+    assert vars(_parse(argv)) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["enumerate", "-h"],
+    ["nosuch"],
+    ["enumerate", "--sem", "gf2", "--n", "4"],  # an abbreviation
+    ["enumerate", "--n=4", "--semiring", "gf2"],
+    ["enumerate", "--n", "4", "--n", "4", "--semiring", "gf2"],  # a repeated option
+    ["classify", "--n", "3", "--group", "small", "--flat", "--flat"],
+    ["bounds", "--", "--format", "md"],
+    ["enumerate", "--n", "4", "--semiring"],  # a missing value
+    ["enumerate", "--n", "-4", "--semiring", "gf2"],
+    ["classify", "--n", "3", "--group", "--flat"],
+    ["enumerate", "--n", "x", "--semiring", "gf2"],  # a failed type
+    ["enumerate", "--n", "5", "--semiring", "gf2"],  # a failed choice
+    ["enumerate", "--n", " 4", "--semiring", "gf2"],  # a value not spelt as a choice
+    ["enumerate", "--n", "4"],  # a missing required option
+    ["classify", "--n", "3", "--flat"],
+    ["rank", "0110", "--n", "3", "--semiring", "gf2", "1001"],  # a positional first
+    ["rank", "--n", "3", "0110", "--semiring", "gf2", "1001"],  # a positional between
+    ["rank", "--n", "3", "--semiring", "gf2"],  # no positional
+    ["rank", "--n", "3", "--semiring", "gf2", "-01101001"],  # a `-`-prefixed positional
+    ["rank", "--n", "3", "--semiring", "gf2", "0110", "--group", "small", "1001"],
+    ["bounds", "md"],  # a positional to a command that has none
+    ["verify", "--scope", "all", "3"],
+])
+def test_strict_parser_declines_every_other_spelling(argv):
+    assert _parse(argv) is None
 
 
 def _run_subprocess(args, seed, home):

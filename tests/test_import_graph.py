@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import bitcube
+from bitcube.cli import build_parser
 
 SRC = str(Path(bitcube.__file__).resolve().parents[1])
 
@@ -70,6 +71,27 @@ def test_commands_without_arrays_load_no_numpy(tmp_path, argv, exit_code):
     assert code == exit_code
     assert "numpy" not in modules
     assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--help"], 0),
+    ([], 2),
+    (["nosuch"], 2),
+    (["enumerate", "--n", "5", "--semiring", "gf2"], 2),
+])
+def test_help_and_usage_errors_are_argparses(capsys, monkeypatch, tmp_path, argv, exit_code):
+    # these take the argparse path; it wraps its text at $COLUMNS, so both
+    # this process and the fresh one get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bitcube", *argv],
+        capture_output=True, text=True, env=_env(tmp_path), timeout=600,
+    )
+    assert exc.value.code == proc.returncode == exit_code
+    assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
 
 
 def test_orbit_commands_run_where_numpy_cannot_be_imported(tmp_path):
@@ -130,7 +152,8 @@ def test_rank_loads_only_what_it_runs(tmp_path):
     assert code == 0
     assert "bitcube.ranks" in modules
     for name in ("numpy", "bitcube.groups", "bitcube.cache", "bitcube.expected",
-                 "bitcube.reporting", "json", "csv", "fractions", "dataclasses", "inspect"):
+                 "bitcube.reporting", "json", "csv", "fractions", "dataclasses", "inspect",
+                 "argparse", "gettext"):
         assert name not in modules
 
 
@@ -178,7 +201,7 @@ def test_table_commands_load_no_fractions_and_no_dataset(tmp_path, argv):
     code, modules = loaded_modules(tmp_path, *argv)
     assert code == 0
     assert "bitcube.reporting" in modules
-    for name in ("fractions", "decimal", "bitcube.expected"):
+    for name in ("fractions", "decimal", "bitcube.expected", "argparse", "gettext"):
         assert name not in modules
 
 
@@ -188,7 +211,8 @@ def test_verify_loads_only_what_it_runs(tmp_path):
     code, modules = loaded_modules(tmp_path, "verify", "--scope", "all")
     assert code == 0
     assert {"bitcube.expected", "bitcube.groups", "bitcube.ranks"} <= modules
-    for name in ("bitcube.reporting", "bitcube.cache", "json", "csv", "numpy"):
+    for name in ("bitcube.reporting", "bitcube.cache", "json", "csv", "numpy",
+                 "argparse", "gettext"):
         assert name not in modules
 
 
