@@ -3,11 +3,15 @@
 
     scripts/bench.py --base REV --label NAME [--pairs N] [--workload W] [--seed S]
 
-The base revision is exported with `git archive` into a temporary directory
-(removed afterwards; nothing is registered in .git, even when a run is
-interrupted).  Each pair runs `perfbench/run.py --workload W --seed S
---seconds T --trace 0`, with T the run_seconds of BENCHMARK.json, once in the
-base copy and once in this checkout (the working tree, committed or not),
+The base revision is exported with `git archive` into a temporary directory,
+and this checkout's working tree (its tracked and untracked files, committed
+or not, but no ignored one) is copied into another; both are removed
+afterwards, and nothing is registered in .git, even when a run is
+interrupted.  Neither copy holds bytecode, so both sides compile the same
+modules: an ignored `__pycache__` in the checkout would spare the head side
+some compilation where PYTHONDONTWRITEBYTECODE keeps the base from writing
+its own.  Each pair runs `perfbench/run.py --workload W --seed S --seconds T
+--trace 0`, with T the run_seconds of BENCHMARK.json, once in each copy,
 alternating which side runs first.
 
 Results go to BENCH_<NAME>.json at the root of this checkout, one entry per
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +52,15 @@ def export_revision(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+
+
+def copy_working_tree(dest: Path) -> None:
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file may be deleted in the working tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -112,15 +126,17 @@ def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
-        export_revision(base_commit, base_root)
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-head-") as head_tmp:
+        roots = {"base": Path(base_tmp), "head": Path(head_tmp)}
+        export_revision(base_commit, roots["base"])
+        copy_working_tree(roots["head"])
         runs: dict = {"base": [], "head": []}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                root = base_root if side == "base" else ROOT
-                runs[side].append(run_perfbench(root, args.workload, args.seed, seconds))
+                runs[side].append(run_perfbench(roots[side], args.workload, args.seed,
+                                                seconds))
             print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
                 f"{side} cmd_wall_s {runs[side][-1]['metrics']['cmd_wall_s']:.4f}"
                 for side in ("base", "head")), file=sys.stderr)
