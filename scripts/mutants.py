@@ -122,21 +122,23 @@ MUTANTS = [
            "--group with --semiring bool is not a usage error"),
     Mutant("cli", "raise UsageError(str(exc)) from None", "raise",
            "a malformed array to rank is a traceback, not a usage error"),
-    # the guards of the strict parser, which leaves every other argv to argparse
-    Mutant("cli", "argv[i] in options and argv[i] not in given:", "argv[i] in options:",
-           "the strict parser takes a repeated option"),
-    Mutant("cli", "elif given[name] in map(str, keywords[\"choices\"]):", "elif True:",
+    # the guards of the strict parser's one pass, which leaves every other
+    # argv to argparse
+    Mutant("cli", "and argv[i + 1] in map(str, keywords[\"choices\"]):", ":",
            "the strict parser skips the choices check"),
-    Mutant("cli", "if keywords.get(\"required\"):", "if False:",
+    Mutant("cli", "elif keywords.get(\"required\"):", "elif False:",
            "the strict parser skips the required check"),
     Mutant("cli", "any(word.startswith(\"-\") for word in argv[i:])", "False",
            "the strict parser takes a `-`-prefixed token as a positional"),
     Mutant("cli", "if i == len(argv) or any(", "if any(",
            "the strict parser takes no positional for nargs=\"+\""),
     Mutant("cli", "return namespace if i == len(argv) else None", "return namespace",
-           "the strict parser drops positionals given to a command that has none"),
-    Mutant("cli", "elif i + 1 < len(argv):", "elif True:",
-           "the strict parser takes an option with its value missing"),
+           "the strict parser drops a token left over after the pass"),
+    Mutant("cli", "elif here and i + 1 < len(argv) and", "elif here and",
+           "the strict parser reads past the end for an option with its value missing"),
+    # a closed output pipe
+    Mutant("cli", "code = 141", "code = 1",
+           "a closed output pipe exits 1, the code of a verification mismatch"),
     # the equivalent mutant
     Mutant("ranks", "return (-(-total // small_order), -(-total // large_order))",
            "return (total // small_order + 1, total // large_order + 1)",

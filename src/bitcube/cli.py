@@ -4,7 +4,8 @@ tables and verify.
 Every command computes the stratifications it needs in process
 (`ranks.stratify` memoises them) and reads or writes no file; its output is
 a pure function of its arguments and the embedded reference dataset.  Exit
-codes: 0 success, 1 verification mismatch, 2 usage error.
+codes: 0 success, 1 verification mismatch, 2 usage error, 141 (128 + SIGPIPE,
+as a shell reports it) when the reader closes the pipe, as `| head` does.
 
 `enumerate`, `bounds`, `tables` and `split` in md, csv or json print table
 kinds through `reporting.emit_table`, so `enumerate --n 4 --semiring nat`
@@ -15,16 +16,18 @@ Each command imports only the modules it runs.  Every command needs the codes
 in `arrays` and the rank levels in `ranks`; the symmetry groups, the table
 code in `reporting` and the reference dataset are imported inside the
 commands that need them, so a plain `rank` or `export` loads none of them.
-`main` parses a canonical argv itself, from `_COMMANDS`: the subcommand,
-each of its options once as `--name value` (or a bare `--flat`), then the
-positionals, each value spelt as one of its choices.  Any other argv goes to
-argparse, which `build_parser` alone imports, so help and every usage error
-are argparse's own.  The format and table-kind choices come from the
-package.  No command loads numpy.
+`main` parses a canonical argv itself, in one pass over the subcommand's
+`_COMMANDS` arguments: the subcommand, then its options in the order `--help`
+lists them, as `--name value` with the value spelt as one of its choices (or
+a bare `--flat`), then the positionals.  Any other argv goes to argparse,
+which `build_parser` alone imports, so help, every usage error and options
+given out of order are argparse's own.  The format and table-kind choices
+come from the package.  No command loads numpy.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -176,26 +179,20 @@ _COMMANDS = (
 _NAMES = tuple(name for name, *_ in _COMMANDS)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one named.
-
-    A lone subcommand's parser keeps the full choice list in the top-level
-    usage, so its errors print the same text as the full parser's.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """Argparse's parser of every subcommand, for each argv `_parse` declines."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="bitcube",
         description="Rank and symmetry classification of 0-1 arrays of shape "
         "2x2x2 and 2x2x2x2",
     )
-    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, func, arguments in _COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=summary)
-            for argument, keywords in arguments:
-                p.add_argument(argument, **keywords)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=summary)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -204,45 +201,28 @@ def _parse(argv: list[str]) -> Optional[SimpleNamespace]:
     if not argv or argv[0] not in _NAMES:
         return None
     _, _, func, arguments = _COMMANDS[_NAMES.index(argv[0])]
-    options = {name: keywords for name, keywords in arguments if name[0] == "-"}
-    given, i = {}, 1
-    while i < len(argv) and argv[i] in options and argv[i] not in given:
-        if options[argv[i]].get("action") == "store_true":
-            given[argv[i]], i = True, i + 1
-        elif i + 1 < len(argv):
-            given[argv[i]], i = argv[i + 1], i + 2
-        else:
-            return None
-    namespace = SimpleNamespace(command=argv[0], func=func)
+    namespace, i = SimpleNamespace(command=argv[0], func=func), 1
     for name, keywords in arguments:
-        flag = keywords.get("action") == "store_true"
-        if name[0] != "-":  # the one positional, nargs="+"
+        here = i < len(argv) and argv[i] == name
+        if name[0] != "-":  # the one positional, nargs="+", comes last
             if i == len(argv) or any(word.startswith("-") for word in argv[i:]):
                 return None
             value, i = argv[i:], len(argv)
-        elif name not in given:
-            if keywords.get("required"):
-                return None
-            value = keywords.get("default", False if flag else None)
-        elif flag:
-            value = True
-        elif given[name] in map(str, keywords["choices"]):
-            value = keywords.get("type", str)(given[name])
-        else:
+        elif keywords.get("action") == "store_true":
+            value, i = here, i + here
+        elif here and i + 1 < len(argv) and argv[i + 1] in map(str, keywords["choices"]):
+            value, i = keywords.get("type", str)(argv[i + 1]), i + 2
+        elif keywords.get("required"):
             return None
+        else:
+            value = keywords.get("default")
         setattr(namespace, name.lstrip("-"), value)
     return namespace if i == len(argv) else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # a canonical argv skips argparse; any other gets the parser of the named
-    # subcommand alone, or, for --help, no arguments and an unknown name, of
-    # every one, so that they list them all
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in _NAMES else None
-        args = build_parser(command).parse_args(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -251,4 +231,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as `| head` does: exit as a shell reports
+        # a SIGPIPE death, with stdout on devnull so that the last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

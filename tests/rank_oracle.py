@@ -7,7 +7,8 @@ reference for the engine, which expands only one code per cube orbit.
 RankSearch finds the minimal number of rank-1 terms summing to a target by
 bounded depth-first search with iterative deepening over the 3**n rank-1
 codes, applying each semiring's addition and rejection rule directly.
-Neither shares code with the engine except the outer-product primitive.
+Both take their rank-1 codes from rank_one_set, built here from the
+definition, and share no code with the engine: nothing here imports bitcube.
 
 Branching is complete in every case: some term of any sum must cover the
 lowest set bit of the running residual (exclusive-or of an all-zero column
@@ -18,20 +19,25 @@ a decomposition, which prunes the candidate lists further.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from bitcube import NONZERO_VECS, Shape, outer_product
+NONZERO = ((0, 1), (1, 0), (1, 1))
 
 
 def rank_one_set(n):
-    shape = Shape(n)
-    return sorted(
-        {
-            outer_product(factors, shape).code
-            for factors in itertools.product(NONZERO_VECS, repeat=n)
-        }
-    )
+    """Sorted codes of the 3**n rank-1 arrays v_1 x ... x v_n: the entry at
+    subscripts (i_1, ..., i_n), counted from 0 here, is the product of the
+    entries v_j[i_j], and the cells follow in lexicographic order of their
+    subscripts, the first the most significant bit."""
+    codes = set()
+    for factors in itertools.product(NONZERO, repeat=n):
+        code = 0
+        for subs in itertools.product((0, 1), repeat=n):
+            code = code << 1 | math.prod(v[i] for v, i in zip(factors, subs))
+        codes.add(code)
+    return sorted(codes)
 
 
 def closure_ranks(n, semiring_tag):

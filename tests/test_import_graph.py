@@ -268,26 +268,38 @@ def test_public_api_has_34_names():
     assert len(bitcube.__all__) == 34
 
 
-def test_oracles_load_neither_groups_nor_ranks(tmp_path):
-    # the orbit and rank oracles share no code with the engine they check
-    script = """
-import json, sys
-from orbit_oracle import MATRICES, OrbitMinima, axis_action_table
-from rank_oracle import closure_ranks
-OrbitMinima(3).large(5)
-axis_action_table(MATRICES[0], 1, 3)
-closure_ranks(3, "gf2")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("bitcube"))))
-"""
+def _oracle_loads(tmp_path, script):
+    """The bitcube modules loaded by script, run with tests/ on the path."""
+    script += '\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith("bitcube"))))'
     env = _env(tmp_path)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_oracles_load_neither_groups_nor_ranks(tmp_path):
+    # the orbit oracle shares no code with the engine it checks
+    loaded = _oracle_loads(tmp_path, """
+import json, sys
+from orbit_oracle import MATRICES, OrbitMinima, axis_action_table
+OrbitMinima(3).large(5)
+axis_action_table(MATRICES[0], 1, 3)
+""")
     assert "bitcube.arrays" in loaded
     assert "bitcube.groups" not in loaded and "bitcube.ranks" not in loaded
+
+
+def test_rank_oracle_loads_no_bitcube_module(tmp_path):
+    # the rank oracle builds even its rank-1 codes from the definition
+    assert _oracle_loads(tmp_path, """
+import json, sys
+from rank_oracle import RankSearch, closure_ranks
+closure_ranks(3, "gf2")
+RankSearch(3, "nat").rank(0b01101001)
+""") == []
 
 
 def test_bare_import_loads_no_submodule_and_each_submodule_binds_itself(tmp_path):

@@ -23,7 +23,7 @@ from bitcube.ranks import _closure_generators, _cube_closure, _stratify, _sums
 from bitcube.reporting import emit_table, percent_text
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import OrbitMinima, cube_cell_maps
-from rank_oracle import closure_ranks
+from rank_oracle import closure_ranks, rank_one_set
 
 S3 = Shape(3)
 S4 = Shape(4)
@@ -89,6 +89,13 @@ def test_stratum_zero_and_one(tables):
         shape = Shape(n)
         assert table.strata[0] == (0,)
         assert table.strata[1] == rank_one_codes(shape)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_rank_one_set_is_the_engines(n):
+    # the oracle builds its rank-1 codes from the definition, the engine by
+    # prepending factors: the same sorted codes, so RankSearch's order holds
+    assert rank_one_set(n) == list(rank_one_codes(Shape(n)))
 
 
 def test_strata_partition_code_space(tables):
