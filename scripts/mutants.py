@@ -90,6 +90,11 @@ MUTANTS = [
     Mutant("ranks", "if not 0 <= code < self.shape.code_count:",
            "if code >= self.shape.code_count:",
            "rank_of_code takes a negative code to a shift error"),
+    # integer arguments through operator.index
+    Mutant("ranks", "        code = index(code)\n", "",
+           "rank_of_code shifts by a numpy code and overflows"),
+    Mutant("ranks", "    n = index(n)\n", "",
+           "lower_bounds computes a numpy n in 64-bit arithmetic and takes a float"),
     # the slice engine: its moves, merges, inverses and small-in-large map
     Mutant("groups", "for m in (_delta_swap, _add)", "for m in (_add,)",
            "small orbits are not closed under the slice swap along direction 1"),
@@ -110,6 +115,9 @@ MUTANTS = [
     Mutant("ranks", "ArrayCode((codes & -codes).bit_length() - 1,",
            "ArrayCode(codes.bit_length() - 1,",
            "a partition's representative is its greatest code"),
+    Mutant("reporting", "if a.shape.n != 3:", "if False:",
+           "the block display of a 4-dimensional array is a subscript error, "
+           "not UnsupportedShapeError"),
     Mutant("reporting", "scaled = (2 * count * 100 * 10**decimals + total) // (2 * total)",
            "scaled = count * 100 * 10**decimals // total",
            "percentages are truncated, not rounded half-up"),

@@ -9,7 +9,8 @@ full result tables.
 Every public name is imported on first access (PEP 562) from the submodule
 that `_LAZY` lists it under, so `import bitcube` loads no submodule and each
 command loads only the modules it runs.  FORMATS and TABLE_KINDS are defined
-here, where the CLI's parser reads them without loading `reporting`.
+here, where the CLI's parser reads them without loading `reporting`.  Tables
+are public as text only, through `emit_table` and `emit_all_tables`.
 """
 
 from importlib import import_module
@@ -39,16 +40,15 @@ TABLE_KINDS = (
 )
 
 _LAZY = {
-    "arrays": ("ArrayCode", "NONZERO_VECS", "Shape", "ShapeMismatchError",
-               "UnsupportedShapeError", "flatten", "outer_product", "rank_one_codes",
-               "render_mat", "unflatten"),
+    "arrays": ("ArrayCode", "Shape", "ShapeMismatchError", "UnsupportedShapeError",
+               "flatten", "outer_product", "rank_one_codes", "unflatten"),
     "ranks": ("PartitionRow", "RankTable", "Semiring", "lower_bounds", "partition_by_ones",
               "rank_of", "stratify"),
     "cache": ("CacheError", "dump_table", "load_table"),
     "groups": ("OrbitRecord", "OrbitSplit", "canonical_form", "classify",
                "large_orbit", "orbit_split", "small_orbit"),
     "expected": ("VerifyReport", "verify_all"),
-    "reporting": ("RankShare", "emit_all_tables", "emit_table", "rank_distribution"),
+    "reporting": ("emit_all_tables", "emit_table"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -6,7 +6,8 @@ subscript tuples (the last subscript varies fastest), and the first entry of
 the linearization occupies the most significant bit.  With that packing,
 numeric comparison of codes coincides with lexicographic comparison of the
 linearized arrays, so the minimal element of any set of arrays is simply the
-smallest code.
+smallest code.  The tables' block display of an n = 3 array is
+`reporting.mat_compact`.
 """
 
 from __future__ import annotations
@@ -240,24 +241,3 @@ def _transposition(n: int, j: int, k: int, anti: bool = False) -> tuple[int, int
     """
     h, l = 1 << (n - j), 1 << (n - k)
     return _cell_swap(n, h + l, h | l, 0) if anti else _cell_swap(n, h - l, h | l, l)
-
-
-def _mat_rows(a: ArrayCode) -> list[str]:
-    # row i of the block display without its brackets: "x_i11 x_i21 | x_i12 x_i22"
-    if a.shape.n != 3:
-        raise UnsupportedShapeError(
-            f"matrix display is defined for dimension 3 only, got {a.shape.n}"
-        )
-    return [
-        f"{a.bit((i, 1, 1))} {a.bit((i, 2, 1))} | {a.bit((i, 1, 2))} {a.bit((i, 2, 2))}"
-        for i in (1, 2)
-    ]
-
-
-def render_mat(a: ArrayCode) -> str:
-    """2 x 4 block display of a 3-dimensional array.
-
-    Row i is [x_i11 x_i21 | x_i12 x_i22]: the third subscript selects the
-    left or right block (the two frontal slices).
-    """
-    return "\n".join(f"[ {row} ]" for row in _mat_rows(a))

@@ -118,6 +118,7 @@ class RankTable(_Checked, NamedTuple("RankTable", [("shape", Shape), ("semiring"
         return _strata(self)
 
     def rank_of_code(self, code: int) -> int:
+        code = index(code)
         if not 0 <= code < self.shape.code_count:
             raise ValueError(f"code {code} out of range for dimension {self.shape.n}")
         # level & bit costs as much as the shorter operand, level >> code
@@ -269,6 +270,7 @@ def lower_bounds(n: int) -> tuple[int, int]:
     Exact integer ceilings of 2**(2**n)/6**n and 2**(2**n)/(6**n n!);
     the n = 6 values exceed 64 bits, hence big-integer arithmetic.
     """
+    n = index(n)
     if not 3 <= n <= 6:
         raise ValueError(f"lower bounds are defined for n in 3..6, got {n}")
     total = 1 << (1 << n)

@@ -1,10 +1,12 @@
-"""Rank distributions and table emission.
+"""Table construction and emission.
 
 Every table reaches text the same way: `build_table` assembles a table
 kind (see TABLE_KINDS) as a `Table` and `render_table` renders it as
 Markdown, CSV or JSON.  The commands `enumerate`, `split`, `bounds` and
 `tables` print table kinds; `classify` builds its orbit table with
-`orbit_records_table` and renders it likewise.
+`orbit_records_table` and renders it likewise.  The strata kinds are the
+rank distributions of `distribution_table`; unless flat, the other tables
+show an n = 3 array in the one-line block display of `mat_compact`.
 
 Table emission is deterministic: a given (kind, format) pair always yields
 byte-identical text.  The verification harness that compares these values
@@ -17,9 +19,8 @@ import math
 from typing import NamedTuple, Sequence, Union
 
 from . import FORMATS, TABLE_KINDS
-from .arrays import ArrayCode, Shape, _mat_rows
-from .ranks import (PartitionRow, RankTable, Semiring, lower_bounds,
-                    partition_by_ones, stratify)
+from .arrays import ArrayCode, Shape, UnsupportedShapeError
+from .ranks import RankTable, Semiring, lower_bounds, partition_by_ones, stratify
 
 # groups, csv and json are imported by the functions that use them, so that
 # each command loads only what it runs.  The partitions and the lower bounds
@@ -43,28 +44,6 @@ def percent_text(count: int, total: int, decimals: int) -> str:
     return text.rstrip("0").rstrip(".")
 
 
-class RankShare(NamedTuple):
-    """One row of a rank distribution."""
-
-    rank: int
-    count: int
-    percent: str
-
-
-def rank_distribution(table: RankTable) -> tuple[RankShare, ...]:
-    """Counts per stratum with percentages of the full code space."""
-    total = table.shape.code_count
-    decimals = PERCENT_DECIMALS[table.shape.n]
-    return tuple(
-        RankShare(
-            rank=r,
-            count=count,
-            percent=percent_text(count, total, decimals),
-        )
-        for r, count in enumerate(table.stratum_sizes)
-    )
-
-
 # ---------------------------------------------------------------------------
 # table construction
 # ---------------------------------------------------------------------------
@@ -76,8 +55,19 @@ class Table(NamedTuple):
 
 
 def mat_compact(a: ArrayCode) -> str:
-    """One-line form of the 2 x 4 block display, rows joined by ' / '."""
-    return "[" + " / ".join(_mat_rows(a)) + "]"
+    """2 x 4 block display of a 3-dimensional array on one line.
+
+    Row i is x_i11 x_i21 | x_i12 x_i22: the third subscript selects the left
+    or right block (the two frontal slices).  The rows are joined by ' / '.
+    """
+    if a.shape.n != 3:
+        raise UnsupportedShapeError(
+            f"matrix display is defined for dimension 3 only, got {a.shape.n}"
+        )
+    return "[" + " / ".join(
+        f"{a.bit((i, 1, 1))} {a.bit((i, 2, 1))} | {a.bit((i, 1, 2))} {a.bit((i, 2, 2))}"
+        for i in (1, 2)
+    ) + "]"
 
 
 def _canon_cell(a: ArrayCode, flat: bool) -> str:
@@ -93,17 +83,16 @@ def _ratio(p: int, q: int) -> str:
 
 
 def distribution_table(table: RankTable, fmt: str = "md") -> Table:
-    """Rank distribution of a stratification as an emittable table."""
-    dist = rank_distribution(table)
+    """Counts per stratum with percentages of the full code space; csv and
+    json also give each percentage exactly."""
+    total, decimals = table.shape.code_count, PERCENT_DECIMALS[table.shape.n]
     columns: tuple[str, ...] = ("rank", "count", "percent")
-    rows = [(share.rank, share.count, share.percent) for share in dist]
+    rows = [(r, count, percent_text(count, total, decimals))
+            for r, count in enumerate(table.stratum_sizes)]
     if fmt in ("csv", "json"):
         columns += ("percent_exact",)
-        total = table.shape.code_count
-        rows = [row + (_ratio(100 * share.count, total),) for row, share in zip(rows, dist)]
-    return Table(
-        f"strata-{table.shape.n}-{table.semiring.value}", columns, tuple(rows)
-    )
+        rows = [row + (_ratio(100 * row[1], total),) for row in rows]
+    return Table(f"strata-{table.shape.n}-{table.semiring.value}", columns, tuple(rows))
 
 
 def orbit_records_table(
@@ -142,13 +131,6 @@ def split_rule(split: OrbitSplit) -> str:
     return f"{split.index} → {_split_parts(split)}"
 
 
-def rank2_small_split(flat: bool = False) -> Table:
-    """The three small orbits inside the rank-2 size-54 large orbit (n=3)."""
-    from .groups import _rank2_small_split
-    rows = tuple((_canon_cell(form, flat), size) for form, size in _rank2_small_split())
-    return Table("small-split-3", ("canonical", "size"), rows)
-
-
 def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
     """Assemble one table kind (see TABLE_KINDS)."""
     if kind not in TABLE_KINDS:
@@ -177,7 +159,10 @@ def build_table(kind: str, fmt: str = "md", flat: bool = False) -> Table:
             tuple((s.index, s.rank, s.size, _split_parts(s)) for s in splits),
         )
     if kind == "small-split-3":
-        return rank2_small_split(flat)
+        # the three small orbits inside the rank-2 large orbit of size 54
+        from .groups import _rank2_small_split
+        rows = tuple((_canon_cell(form, flat), size) for form, size in _rank2_small_split())
+        return Table(kind, ("canonical", "size"), rows)
     # the one kind left, lower-bounds
     return Table(
         kind,

@@ -5,16 +5,16 @@ from hypothesis import given, strategies as st
 
 from bitcube import (
     ArrayCode,
-    NONZERO_VECS,
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
     flatten,
     outer_product,
     rank_one_codes,
-    render_mat,
     unflatten,
 )
+from bitcube.arrays import NONZERO_VECS
+from bitcube.reporting import mat_compact
 
 S3 = Shape(3)
 S4 = Shape(4)
@@ -151,20 +151,20 @@ def test_ones_count():
     assert ArrayCode(0b01101001, S3).ones() == 4
 
 
-def test_render_mat_zero():
-    assert render_mat(ArrayCode(0, S3)) == "[ 0 0 | 0 0 ]\n[ 0 0 | 0 0 ]"
+def test_mat_compact_zero():
+    assert mat_compact(ArrayCode(0, S3)) == "[0 0 | 0 0 / 0 0 | 0 0]"
 
 
-def test_render_mat_examples():
+def test_mat_compact_examples():
     a = ArrayCode.from_text("00010100", S3)
-    assert render_mat(a) == "[ 0 0 | 0 1 ]\n[ 0 0 | 1 0 ]"
+    assert mat_compact(a) == "[0 0 | 0 1 / 0 0 | 1 0]"
     b = ArrayCode.from_text("01101101", S3)
-    assert render_mat(b) == "[ 0 1 | 1 0 ]\n[ 1 0 | 1 1 ]"
+    assert mat_compact(b) == "[0 1 | 1 0 / 1 0 | 1 1]"
 
 
-def test_render_mat_rejects_other_dimensions():
+def test_mat_compact_rejects_other_dimensions():
     with pytest.raises(UnsupportedShapeError):
-        render_mat(ArrayCode(0, S4))
+        mat_compact(ArrayCode(0, S4))
 
 
 def test_text_round_trip_and_spaces():

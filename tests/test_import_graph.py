@@ -264,8 +264,19 @@ def test_removed_group_names_are_gone(name):
     assert not hasattr(import_module("bitcube.groups"), name)
 
 
-def test_public_api_has_34_names():
-    assert len(bitcube.__all__) == 34
+@pytest.mark.parametrize("name",
+                         ["render_mat", "RankShare", "rank_distribution", "NONZERO_VECS"])
+def test_removed_display_and_distribution_names_are_gone(name):
+    # the tables' block display is reporting.mat_compact, their rank
+    # distributions are build_table("strata-N-S").rows, and the nonzero
+    # factor pairs stay in bitcube.arrays
+    with pytest.raises(ImportError):
+        exec(f"from bitcube import {name}", {})
+    assert name not in bitcube.__all__
+
+
+def test_public_api_has_30_names():
+    assert len(bitcube.__all__) == 30
 
 
 def _oracle_loads(tmp_path, script):

@@ -13,14 +13,13 @@ from bitcube import (
     Shape,
     ShapeMismatchError,
     UnsupportedShapeError,
-    rank_distribution,
     rank_of,
     rank_one_codes,
     stratify,
 )
 import bitcube.ranks
 from bitcube.ranks import _closure_generators, _cube_closure, _stratify, _sums
-from bitcube.reporting import emit_table, percent_text
+from bitcube.reporting import build_table, emit_table, percent_text
 from conftest import SAMPLE_SEED, cube_tables
 from orbit_oracle import OrbitMinima, cube_cell_maps
 from rank_oracle import closure_ranks, rank_one_set
@@ -319,43 +318,46 @@ def test_percent_text_half_up():
     assert percent_text(26, 65536, 3) == "0.04"  # 0.040 with the zero dropped
 
 
-def test_rank_distribution_gf2_n4(tables):
-    dist = rank_distribution(tables[(4, "gf2")])
-    assert [d.count for d in dist] == [1, 81, 2268, 21744, 37530, 3888, 24]
-    assert [d.percent for d in dist] == [
+def _distribution(n, tag):
+    """The rank distribution's (rank, count, percent) rows, as tables print them."""
+    return build_table(f"strata-{n}-{tag}").rows
+
+
+def test_rank_distribution_gf2_n4():
+    dist = _distribution(4, "gf2")
+    assert [count for _, count, _ in dist] == [1, 81, 2268, 21744, 37530, 3888, 24]
+    assert [percent for _, _, percent in dist] == [
         "0.002", "0.124", "3.461", "33.179", "57.266", "5.933", "0.037",
     ]
 
 
-def test_rank_distribution_bool_n4(tables):
-    dist = rank_distribution(tables[(4, "bool")])
-    assert [d.percent for d in dist] == [
+def test_rank_distribution_bool_n4():
+    assert [percent for _, _, percent in _distribution(4, "bool")] == [
         "0.002", "0.124", "2.753", "20.557", "44.104", "25.989", "5.652",
         "0.781", "0.04",
     ]
 
 
-def test_rank_distribution_nat_n4(tables):
-    dist = rank_distribution(tables[(4, "nat")])
-    assert [d.percent for d in dist] == [
+def test_rank_distribution_nat_n4():
+    assert [percent for _, _, percent in _distribution(4, "nat")] == [
         "0.002", "0.124", "2.679", "19.604", "43.927", "26.807", "5.963",
         "0.854", "0.04",
     ]
 
 
-def test_rank_distribution_n3_integer_percent(tables):
-    assert [d.percent for d in rank_distribution(tables[(3, "gf2")])] == [
+def test_rank_distribution_n3_integer_percent():
+    assert [percent for _, _, percent in _distribution(3, "gf2")] == [
         "0", "11", "63", "26",
     ]
-    assert [d.percent for d in rank_distribution(tables[(3, "bool")])] == [
+    assert [percent for _, _, percent in _distribution(3, "bool")] == [
         "0", "11", "51", "34", "4",
     ]
 
 
 def test_rank_distribution_counts_sum(tables):
-    for (n, _), table in tables.items():
-        dist = rank_distribution(table)
-        assert sum(d.count for d in dist) == Shape(n).code_count
+    for (n, tag), table in tables.items():
+        dist = _distribution(n, tag)
+        assert sum(count for _, count, _ in dist) == Shape(n).code_count
         # the csv table's exact percentages add up to 100 exactly
         kind = f"strata-{n}-{table.semiring.value}"
         rows = list(csv.DictReader(emit_table(kind, "csv").splitlines()))

@@ -8,6 +8,7 @@ constructor, or through `_replace` and `_make` where the class has them.
 
 import re
 
+import numpy as np
 import pytest
 
 from bitcube import (
@@ -18,6 +19,7 @@ from bitcube import (
     ShapeMismatchError,
     UnsupportedShapeError,
     flatten,
+    lower_bounds,
     outer_product,
     rank_one_codes,
     stratify,
@@ -218,3 +220,25 @@ def test_rank_table_strata_are_made_once():
     assert table.strata is table.strata
     same = RankTable(table.shape, table.semiring, table.levels)
     assert same.strata is table.strata
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_lower_bounds_take_any_integer_type(n):
+    # numpy scalars would otherwise overflow 64 bits where n = 6 needs more
+    for given in (np.int64(n), np.uint8(n), Index(n)):
+        bounds = lower_bounds(given)
+        assert bounds == lower_bounds(n)
+        assert all(type(bound) is int for bound in bounds)
+    with pytest.raises(TypeError, match=f"^{re.escape(FLOAT)}$"):
+        lower_bounds(4.0)
+
+
+@pytest.mark.parametrize("n, dtype, codes", [(3, np.uint8, (1, 105, 200, 255)),
+                                             (4, np.uint16, (1, 27581, 65535))])
+def test_rank_of_code_takes_any_integer_type(n, dtype, codes):
+    table = stratify(Shape(n), "gf2")
+    for code in codes:
+        for given in (dtype(code), np.int64(code), Index(code)):
+            assert table.rank_of_code(given) == table.rank_of_code(code)
+    with pytest.raises(TypeError, match=f"^{re.escape(FLOAT)}$"):
+        table.rank_of_code(5.0)
