@@ -147,6 +147,8 @@ MUTANTS = [
     # a closed output pipe
     Mutant("cli", "code = 141", "code = 1",
            "a closed output pipe exits 1, the code of a verification mismatch"),
+    Mutant("cli", "code = 74", "code = 1",
+           "an unwritable stdout exits 1, the code of a verification mismatch"),
     # the equivalent mutant
     Mutant("ranks", "return (-(-total // small_order), -(-total // large_order))",
            "return (total // small_order + 1, total // large_order + 1)",

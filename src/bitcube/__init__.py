@@ -44,7 +44,6 @@ _LAZY = {
                "flatten", "outer_product", "rank_one_codes", "unflatten"),
     "ranks": ("PartitionRow", "RankTable", "Semiring", "lower_bounds", "partition_by_ones",
               "rank_of", "stratify"),
-    "cache": ("CacheError", "dump_table", "load_table"),
     "groups": ("OrbitRecord", "OrbitSplit", "canonical_form", "classify",
                "large_orbit", "orbit_split", "small_orbit"),
     "expected": ("VerifyReport", "verify_all"),

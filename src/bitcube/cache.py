@@ -1,7 +1,7 @@
 """Versioned binary serialisation of rank tables.
 
-A library serialiser only: no command reads or writes these files, since
-every command computes its tables in process.  Layout, all little-endian:
+The benchmark's fixture, outside the public API: no command reads or writes
+these files; each computes its tables in process.  Layout, all little-endian:
 
     magic            6 bytes  b"BCRKTB"
     format version   u16

@@ -4,8 +4,9 @@ tables and verify.
 Every command computes the stratifications it needs in process
 (`ranks.stratify` memoises them) and reads or writes no file; its output is
 a pure function of its arguments and the embedded reference dataset.  Exit
-codes: 0 success, 1 verification mismatch, 2 usage error, 141 (128 + SIGPIPE,
-as a shell reports it) when the reader closes the pipe, as `| head` does.
+codes: 0 success, 1 verification mismatch, 2 usage error, 74 (EX_IOERR) when
+stdout is closed or a write to it fails, 141 (128 + SIGPIPE, as a shell
+reports it) when the reader closes the pipe, as `| head` does.
 
 `enumerate`, `bounds`, `tables` and `split` in md, csv or json print table
 kinds through `reporting.emit_table`, so `enumerate --n 4 --semiring nat`
@@ -27,6 +28,7 @@ come from the package.  No command loads numpy.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -232,6 +234,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entrypoint() -> None:
     try:
+        if sys.stdout is None:  # started with stdout closed, as `>&-` does
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
@@ -239,4 +243,8 @@ def entrypoint() -> None:
         # a SIGPIPE death, with stdout on devnull so that the last flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except OSError as exc:  # a failed write, as to `> /dev/full`, or no stdout
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = 74
     sys.exit(code)

@@ -6,13 +6,15 @@ partition tables and the orbit-count lower bounds.  Canonical forms and
 representatives are stored as 0/1 strings in linearization order.  The
 long tables are text, one row of whitespace-separated values per line.
 
-Each field of the default dataset is an independent constant; `verify_all`
-compares one computed quantity against one field, so a single tampered
-value produces exactly one reported mismatch.  It recomputes every
-classification from scratch, and a mismatch is a reported outcome, never an
-exception.  Of the commands, only `verify` imports this module.  It takes
-the partitions and the lower bounds from `ranks` and the rank-2 small split
-from `groups`, so `verify` loads none of the table code in `reporting`.
+The dataset is seven module tables: `STRATUM_SIZES`, `LARGE_ORBITS`,
+`SMALL_ORBIT_COUNTS`, `ORBIT_SPLITS`, `RANK2_SMALL_SPLIT_3`, `PARTITIONS` and
+`LOWER_BOUNDS`.  `verify_all` reads them when it runs and compares one
+computed quantity against one value, so a single tampered value produces
+exactly one reported mismatch.  It recomputes every classification from
+scratch, and a mismatch is a reported outcome, never an exception.  Of the
+commands, only `verify` imports this module.  It takes the partitions and
+the lower bounds from `ranks` and the rank-2 small split from `groups`, so
+`verify` loads none of the table code in `reporting`.
 """
 
 from __future__ import annotations
@@ -22,17 +24,6 @@ from typing import NamedTuple
 from .arrays import Shape
 from .groups import _rank2_small_split, classify, orbit_split
 from .ranks import Semiring, lower_bounds, partition_by_ones, stratify
-
-
-class ReferenceData(NamedTuple):
-    stratum_sizes: dict[tuple[int, str], tuple[int, ...]]
-    large_orbits: dict[int, tuple[tuple[int, int, str], ...]]
-    small_orbit_counts: dict[int, int]
-    orbit_splits: dict[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
-    rank2_small_split_3: tuple[tuple[str, int], ...]
-    partitions: dict[tuple[int, str], tuple[tuple[int, int, int, str], ...]]
-    lower_bounds: dict[int, tuple[int, int]]
-    boolean_equals_nonneg_at_3: bool = True
 
 
 def _rows(text: str, *fields) -> tuple[tuple, ...]:
@@ -48,7 +39,7 @@ def _parts(text: str) -> tuple[tuple[int, int], ...]:
 
 
 # Counts of arrays of each exact rank, per (dimension, semiring tag).
-_STRATUM_SIZES = {
+STRATUM_SIZES = {
     (3, "gf2"): (1, 27, 162, 66),
     (3, "bool"): (1, 27, 130, 88, 10),
     (3, "nat"): (1, 27, 130, 88, 10),
@@ -59,16 +50,14 @@ _STRATUM_SIZES = {
 
 # Large-group orbits as rank, size and canonical form, in classification
 # order: ascending rank, then ascending canonical code.
-_LARGE_ORBITS_3 = _rows("""
+LARGE_ORBITS = {3: _rows("""
     0   1 00000000
     1  27 00000001
     2  54 00000110
     2 108 00011000
     3  54 00010110
     3  12 01101011
-""", int, int, str)
-
-_LARGE_ORBITS_4 = _rows("""
+""", int, int, str), 4: _rows("""
     0    1 0000000000000000
     1   81 0000000000000001
     2  324 0000000000000110
@@ -99,21 +88,22 @@ _LARGE_ORBITS_4 = _rows("""
     5 1296 0001011001101001
     5 1296 0001011010000001
     6   24 0110101110111101
-""", int, int, str)
+""", int, int, str)}
+
+# Small-group orbit counts.
+SMALL_ORBIT_COUNTS = {3: 8, 4: 112}
 
 # Splitting of each large orbit into small orbits: its index, then its parts
 # as count x size, joined by "+" in ascending size.  A part 1xsize marks a
 # large orbit that already is a small orbit.
-_ORBIT_SPLITS_3 = _rows("""
+ORBIT_SPLITS = {3: _rows("""
     1 1x1
     2 1x27
     3 3x18
     4 1x108
     5 1x54
     6 1x12
-""", int, _parts)
-
-_ORBIT_SPLITS_4 = _rows("""
+""", int, _parts), 4: _rows("""
      1 1x1
      2 1x81
      3 6x54
@@ -144,18 +134,19 @@ _ORBIT_SPLITS_4 = _rows("""
     28 1x1296
     29 1x1296
     30 1x24
-""", int, _parts)
+""", int, _parts)}
 
 # The rank-2 large orbit of size 54 at n = 3 splits into three small orbits
 # of size 18; their canonical forms, ascending.
-_RANK2_SMALL_SPLIT_3 = _rows("""
+RANK2_SMALL_SPLIT_3 = _rows("""
     00000110 18
     00010010 18
     00010100 18
 """, str, int)
 
-# Rank/ones partitions as rank, ones, count and minimal representative.
-_PARTITION_3_BOOL = _rows("""
+# Rank/ones partitions as rank, ones, count and minimal representative, per
+# (dimension, semiring tag).
+PARTITIONS = {(3, "bool"): _rows("""
     0 0  1 00000000
     1 1  8 00000001
     1 2 12 00000011
@@ -173,9 +164,7 @@ _PARTITION_3_BOOL = _rows("""
     3 7  8 01111111
     4 4  2 01101001
     4 5  8 01101011
-""", int, int, int, str)
-
-_PARTITION_4_BOOL = _rows("""
+""", int, int, int, str), (4, "bool"): _rows("""
     0  0    1 0000000000000000
     1  1   16 0000000000000001
     1  2   32 0000000000000011
@@ -241,9 +230,7 @@ _PARTITION_4_BOOL = _rows("""
     8  8    2 0110100110010110
     8  9   16 0110100110010111
     8 10    8 0110101111010110
-""", int, int, int, str)
-
-_PARTITION_4_NAT = _rows("""
+""", int, int, int, str), (4, "nat"): _rows("""
     0  0    1 0000000000000000
     1  1   16 0000000000000001
     1  2   32 0000000000000011
@@ -310,29 +297,15 @@ _PARTITION_4_NAT = _rows("""
     8  8    2 0110100110010110
     8  9   16 0110100110010111
     8 10    8 0110101111010110
-""", int, int, int, str)
+""", int, int, int, str)}
 
 # Orbit-count lower bounds ceil(2**(2**n)/6**n) and ceil(2**(2**n)/(6**n n!)).
-_LOWER_BOUNDS = {
+LOWER_BOUNDS = {
     3: (2, 1),
     4: (51, 3),
     5: (552337, 4603),
     6: (395377745064077, 549135757034),
 }
-
-DEFAULT = ReferenceData(
-    stratum_sizes=_STRATUM_SIZES,
-    large_orbits={3: _LARGE_ORBITS_3, 4: _LARGE_ORBITS_4},
-    small_orbit_counts={3: 8, 4: 112},
-    orbit_splits={3: _ORBIT_SPLITS_3, 4: _ORBIT_SPLITS_4},
-    rank2_small_split_3=_RANK2_SMALL_SPLIT_3,
-    partitions={
-        (3, "bool"): _PARTITION_3_BOOL,
-        (4, "bool"): _PARTITION_4_BOOL,
-        (4, "nat"): _PARTITION_4_NAT,
-    },
-    lower_bounds=_LOWER_BOUNDS,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -391,43 +364,41 @@ def _compare(name: str, computed, reference) -> Check:
 _SCOPES = {"3": (3,), "4": (4,), "all": (3, 4)}
 
 
-def _checks(n: int, data: ReferenceData):
+def _checks(n: int):
     """The (name, computed, reference) triple of each check at dimension n,
     in report order."""
     tables = {s: stratify(Shape(n), s) for s in Semiring}
     for s in Semiring:
         yield (f"stratum sizes n={n} {s.value}", tables[s].stratum_sizes,
-               data.stratum_sizes[(n, s.value)])
+               STRATUM_SIZES[(n, s.value)])
     if n == 3:
         yield ("boolean and integer strata identical n=3",
-               tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels,
-               data.boolean_equals_nonneg_at_3)
+               tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels, True)
     gf2 = tables[Semiring.GF2]
     yield (f"large-group orbits n={n}",
            tuple((r.rank, r.size, r.canonical.text()) for r in classify(gf2, "large")),
-           data.large_orbits[n])
+           LARGE_ORBITS[n])
     yield (f"small-group orbit count n={n}", len(classify(gf2, "small")),
-           data.small_orbit_counts[n])
+           SMALL_ORBIT_COUNTS[n])
     yield (f"orbit splitting n={n}", tuple((s.index, s.parts) for s in orbit_split(gf2)),
-           data.orbit_splits[n])
+           ORBIT_SPLITS[n])
     if n == 3:
         yield ("rank-2 small-group split n=3",
                tuple((form.text(), size) for form, size in _rank2_small_split()),
-               data.rank2_small_split_3)
+               RANK2_SMALL_SPLIT_3)
     for s in [Semiring.BOOLEAN] if n == 3 else [Semiring.BOOLEAN, Semiring.NONNEG]:
         yield (f"partition rows n={n} {s.value}",
                tuple((row.rank, row.ones, row.count, row.representative.text())
                      for row in partition_by_ones(tables[s])),
-               data.partitions[(n, s.value)])
+               PARTITIONS[(n, s.value)])
 
 
 def verify_all(scope: str = "all") -> VerifyReport:
     """Recompute every classification in scope and compare with the embedded
-    dataset, DEFAULT as it is at call time."""
+    dataset, its tables as they are at call time."""
     if not isinstance(scope, str) or scope not in _SCOPES:
         raise ValueError(f"scope must be '3', '4' or 'all', got {scope!r}")
-    data = DEFAULT
-    checks = [check for n in _SCOPES[scope] for check in _checks(n, data)]
+    checks = [check for n in _SCOPES[scope] for check in _checks(n)]
     checks.append(("lower bounds n=3..6", {n: lower_bounds(n) for n in range(3, 7)},
-                   data.lower_bounds))
+                   LOWER_BOUNDS))
     return VerifyReport(tuple(_compare(*check) for check in checks))

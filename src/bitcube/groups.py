@@ -48,7 +48,6 @@ class OrbitRecord(NamedTuple):
     rank: int
     size: int
     ones: int
-    group: GroupKind
 
 
 class OrbitSplit(NamedTuple):
@@ -231,7 +230,7 @@ def classify(table: RankTable, group: GroupKind) -> tuple[OrbitRecord, ...]:
     records = []
     for rank, code, size in rows:
         canonical = ArrayCode(code, table.shape)
-        records.append(OrbitRecord(canonical, rank, size, canonical.ones(), group))
+        records.append(OrbitRecord(canonical, rank, size, canonical.ones()))
     return tuple(records)
 
 

@@ -32,6 +32,16 @@ def popcount_array(limit):
     return np.array([bin(c).count("1") for c in range(limit)], dtype=np.int64)
 
 
+def rank_array(table):
+    """The rank of every code in the table's code space, indexed by code."""
+    import numpy as np
+
+    out = np.zeros(table.shape.code_count, dtype=np.int64)
+    for r, stratum in enumerate(table.strata):
+        out[np.fromiter(stratum, dtype=np.int64)] = r
+    return out
+
+
 def cube_tables(n):
     """The n-cube's generators as action tables: the slice swap along each
     direction, then the transpositions of adjacent directions."""

@@ -11,8 +11,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from bitcube import (
     ArrayCode,
     Semiring,
@@ -25,8 +23,8 @@ from bitcube import (
     stratify,
     unflatten,
 )
-from bitcube.expected import DEFAULT
-from conftest import SAMPLE_SEED
+from bitcube.expected import LARGE_ORBITS, ORBIT_SPLITS, PARTITIONS, RANK2_SMALL_SPLIT_3
+from conftest import SAMPLE_SEED, rank_array
 from orbit_oracle import MATRICES, axis_action_table, permutation_action_table, permutations
 from rank_oracle import RankSearch
 
@@ -74,7 +72,7 @@ def test_criterion_04_n3_classification(tables):
     ]
     assert tuple(
         (r.rank, r.size, r.canonical.text()) for r in large
-    ) == DEFAULT.large_orbits[3]
+    ) == LARGE_ORBITS[3]
     small = classify(table, "small")
     assert len(small) == 8
     inside = [
@@ -82,7 +80,7 @@ def test_criterion_04_n3_classification(tables):
         for r in small
         if r.rank == 2 and r.size == 18
     ]
-    assert tuple(inside) == DEFAULT.rank2_small_split_3
+    assert tuple(inside) == RANK2_SMALL_SPLIT_3
     splits = orbit_split(table)
     assert splits[2].parts == ((3, 18),) and splits[2].size == 54
     _ok(4, "n=3: 6 large orbits with exact canonical forms, 8 small orbits, "
@@ -95,11 +93,11 @@ def test_criterion_05_n4_classification(tables):
     assert len(large) == 30
     assert tuple(
         (r.rank, r.size, r.canonical.text()) for r in large
-    ) == DEFAULT.large_orbits[4]
+    ) == LARGE_ORBITS[4]
     small = classify(table, "small")
     assert len(small) == 112
     splits = orbit_split(table)
-    assert tuple((s.index, s.parts) for s in splits) == DEFAULT.orbit_splits[4]
+    assert tuple((s.index, s.parts) for s in splits) == ORBIT_SPLITS[4]
     for s, rec in zip(splits, large):
         assert sum(count * size for count, size in s.parts) == rec.size
     assert sum(count for s in splits for count, _ in s.parts) == 112
@@ -108,15 +106,15 @@ def test_criterion_05_n4_classification(tables):
 
 
 def test_criterion_06_partition_tables(tables):
-    for key, expected_rows in DEFAULT.partitions.items():
+    for key, expected_rows in PARTITIONS.items():
         rows = partition_by_ones(tables[key])
         assert len(rows) == len(expected_rows)
         assert tuple(
             (r.rank, r.ones, r.count, r.representative.text()) for r in rows
         ) == expected_rows
-    assert len(DEFAULT.partitions[(3, "bool")]) == 17
-    assert len(DEFAULT.partitions[(4, "bool")]) == 65
-    assert len(DEFAULT.partitions[(4, "nat")]) == 66
+    assert len(PARTITIONS[(3, "bool")]) == 17
+    assert len(PARTITIONS[(4, "bool")]) == 65
+    assert len(PARTITIONS[(4, "nat")]) == 66
     _ok(6, "partition tables: 17 + 65 + 66 rows bit-exact")
 
 
@@ -136,18 +134,11 @@ def test_criterion_07_lower_bounds():
     _ok(7, "lower bounds recomputed by exact big-integer ceilings")
 
 
-def _rank_array(table):
-    out = np.zeros(table.shape.code_count, dtype=np.int64)
-    for r, stratum in enumerate(table.strata):
-        out[np.fromiter(stratum, dtype=np.int64)] = r
-    return out
-
-
 def test_criterion_08_property_suite(tables, sample_codes_4):
     # rank invariance under every matrix along every direction and every
     # direction permutation, exhaustively for both dimensions
     for n in (3, 4):
-        ranks = _rank_array(tables[(n, "gf2")])
+        ranks = rank_array(tables[(n, "gf2")])
         for g in MATRICES:
             for direction in range(1, n + 1):
                 assert (ranks[axis_action_table(g, direction, n)] == ranks).all()
@@ -170,12 +161,12 @@ def test_criterion_08_property_suite(tables, sample_codes_4):
     from conftest import popcount_array
 
     for n in (3, 4):
-        boolean = _rank_array(tables[(n, "bool")])
-        integer = _rank_array(tables[(n, "nat")])
+        boolean = rank_array(tables[(n, "bool")])
+        integer = rank_array(tables[(n, "nat")])
         assert (boolean <= integer).all()
         ones = popcount_array(Shape(n).code_count)
         for tag in ("gf2", "bool", "nat"):
-            assert (_rank_array(tables[(n, tag)]) <= ones).all()
+            assert (rank_array(tables[(n, tag)]) <= ones).all()
 
     # linearization round trips: exhaustive at n=3, sampled >= 10000 at n=4
     for code in range(256):

@@ -3,8 +3,7 @@ import zlib
 
 import pytest
 
-from bitcube import CacheError, dump_table, load_table
-from bitcube.cache import FORMAT_VERSION
+from bitcube.cache import FORMAT_VERSION, CacheError, dump_table, load_table
 
 
 def write_levels(path, n, tag, levels, size=None):

@@ -195,10 +195,9 @@ def test_verify_exits_zero(capsys):
 
 def test_verify_exits_one_on_a_dataset_it_fails(capsys, monkeypatch):
     # verify reads the embedded dataset when it runs
-    data = bitcube.expected.DEFAULT
-    sizes = dict(data.stratum_sizes)
-    sizes[(4, "bool")] = sizes[(4, "bool")][:2] + (1805,) + sizes[(4, "bool")][3:]
-    monkeypatch.setattr(bitcube.expected, "DEFAULT", data._replace(stratum_sizes=sizes))
+    sizes = bitcube.expected.STRATUM_SIZES
+    monkeypatch.setitem(sizes, (4, "bool"),
+                        sizes[(4, "bool")][:2] + (1805,) + sizes[(4, "bool")][3:])
     code, out, _ = run_cli(capsys, "verify", "--scope", "4")
     assert code == 1
     assert ("FAIL stratum sizes n=4 bool: first difference at row 2: "
@@ -362,6 +361,30 @@ def test_export_into_a_closed_pipe_exits_141_in_silence():
         proc.stdout.close()
         assert proc.wait(timeout=600) == 141
         assert proc.stderr.read() == b""
+
+
+def _assert_write_error(proc):
+    # exit 74 (EX_IOERR) with one line on stderr, never a traceback or exit 1
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 74, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_verify_into_a_full_device_exits_74():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "bitcube", "verify"],
+                              stdout=full, stderr=subprocess.PIPE, timeout=600)
+    _assert_write_error(proc)
+    assert b"No space left on device" in proc.stderr
+
+
+def test_verify_with_stdout_closed_exits_74():
+    # as `verify >&-`: the process starts with no file descriptor 1
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m bitcube verify >&-', sys.executable],
+                          stderr=subprocess.PIPE, timeout=600)
+    _assert_write_error(proc)
 
 
 def test_module_entry_point_tables_deterministic(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from bitcube import (
     ArrayCode,
+    OrbitRecord,
     Shape,
     UnsupportedShapeError,
     canonical_form,
@@ -21,7 +22,7 @@ from bitcube.arrays import _delta_swap, _slice_swap, _transposition
 from bitcube.groups import _add, _orbits, _slices
 from bitcube.ranks import _closure_generators, _cube_closure
 
-from conftest import SAMPLE_SEED, cube_tables
+from conftest import SAMPLE_SEED, cube_tables, rank_array
 from orbit_oracle import (
     MATRICES,
     OrbitMinima,
@@ -378,6 +379,11 @@ def test_records_sorted_by_rank_then_canonical(tables):
             assert keys == sorted(keys)
 
 
+def test_orbit_record_fields():
+    # the group is the argument of classify, not a field of each record
+    assert OrbitRecord._fields == ("canonical", "rank", "size", "ones")
+
+
 def test_orbit_sizes_divide_group_order(tables):
     for n in (3, 4):
         small_order = 6**n
@@ -447,9 +453,7 @@ def test_stabiliser_times_orbit_size_is_group_order(tables, n, group):
 def test_rank_invariance_under_all_group_elements(tables):
     for n in (3, 4):
         table = tables[(n, "gf2")]
-        ranks = np.zeros(Shape(n).code_count, dtype=np.int64)
-        for r, stratum in enumerate(table.strata):
-            ranks[np.fromiter(stratum, dtype=np.int64)] = r
+        ranks = rank_array(table)
         for g in MATRICES:
             for direction in range(1, n + 1):
                 action = axis_action_table(g, direction, n)

@@ -15,7 +15,7 @@ from bitcube import (
     rank_of,
     verify_all,
 )
-from bitcube.expected import DEFAULT
+from bitcube.expected import LARGE_ORBITS, PARTITIONS, STRATUM_SIZES
 from bitcube.reporting import TABLE_KINDS, build_table, mat_compact, render_table
 
 
@@ -65,7 +65,7 @@ def test_partition_rows_match_reference(tables):
         computed = tuple(
             (r.rank, r.ones, r.count, r.representative.text()) for r in rows
         )
-        assert computed == DEFAULT.partitions[key]
+        assert computed == PARTITIONS[key]
 
 
 def test_partition_row_invariants(tables):
@@ -88,12 +88,10 @@ def test_partition_row_invariants(tables):
 def test_partition_representative_is_class_minimum(tables):
     # an independent count and minimum per (rank, ones) class: np.unique
     # over the keys rank * (2**n + 1) + ones of every code, in code order
-    from conftest import popcount_array
+    from conftest import popcount_array, rank_array
 
     for (n, tag), table in tables.items():
-        ranks = np.zeros(Shape(n).code_count, dtype=np.int64)
-        for r, stratum in enumerate(table.strata):
-            ranks[np.fromiter(stratum, dtype=np.int64)] = r
+        ranks = rank_array(table)
         width = Shape(n).m + 1
         keys = ranks * width + popcount_array(Shape(n).code_count)
         classes, first, counts = np.unique(keys, return_index=True, return_counts=True)
@@ -217,10 +215,9 @@ def test_verify_rejects_unknown_scope():
 
 
 def test_tampered_dataset_yields_exactly_one_mismatch(monkeypatch):
-    sizes = dict(DEFAULT.stratum_sizes)
-    original = sizes[(4, "bool")]
-    sizes[(4, "bool")] = original[:2] + (original[2] + 1,) + original[3:]
-    monkeypatch.setattr("bitcube.expected.DEFAULT", DEFAULT._replace(stratum_sizes=sizes))
+    original = STRATUM_SIZES[(4, "bool")]
+    monkeypatch.setitem(STRATUM_SIZES, (4, "bool"),
+                        original[:2] + (original[2] + 1,) + original[3:])
     report = verify_all("all")
     assert not report.passed
     assert len(report.mismatches) == 1
@@ -229,10 +226,8 @@ def test_tampered_dataset_yields_exactly_one_mismatch(monkeypatch):
 
 
 def test_tampered_orbit_row_reported(monkeypatch):
-    orbits = dict(DEFAULT.large_orbits)
-    rows = list(orbits[4])
+    rows = list(LARGE_ORBITS[4])
     rows[7] = (rows[7][0], rows[7][1] + 1, rows[7][2])
-    orbits[4] = tuple(rows)
-    monkeypatch.setattr("bitcube.expected.DEFAULT", DEFAULT._replace(large_orbits=orbits))
+    monkeypatch.setitem(LARGE_ORBITS, 4, tuple(rows))
     report = verify_all("4")
     assert [c.name for c in report.mismatches] == ["large-group orbits n=4"]

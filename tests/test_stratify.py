@@ -20,7 +20,7 @@ from bitcube import (
 import bitcube.ranks
 from bitcube.ranks import _closure_generators, _cube_closure, _stratify, _sums
 from bitcube.reporting import build_table, emit_table, percent_text
-from conftest import SAMPLE_SEED, cube_tables
+from conftest import SAMPLE_SEED, cube_tables, rank_array
 from orbit_oracle import OrbitMinima, cube_cell_maps
 from rank_oracle import closure_ranks, rank_one_set
 
@@ -256,17 +256,10 @@ def test_cube_orbit_counts():
         assert orbits == count
 
 
-def _rank_array(table):
-    out = np.zeros(table.shape.code_count, dtype=np.int64)
-    for r, stratum in enumerate(table.strata):
-        out[np.fromiter(stratum, dtype=np.int64)] = r
-    return out
-
-
 def test_boolean_rank_never_exceeds_integer_rank(tables):
     for n in (3, 4):
-        boolean = _rank_array(tables[(n, "bool")])
-        integer = _rank_array(tables[(n, "nat")])
+        boolean = rank_array(tables[(n, "bool")])
+        integer = rank_array(tables[(n, "nat")])
         assert (boolean <= integer).all()
         if n == 3:
             # every 3-dimensional array achieves its Boolean rank with
@@ -277,8 +270,8 @@ def test_boolean_rank_never_exceeds_integer_rank(tables):
 def test_gf2_rank_never_exceeds_integer_rank(tables):
     # a sum of pairwise disjoint terms is also their xor
     for n, strictly_below in ((3, 42), (4, 28190)):
-        gf2 = _rank_array(tables[(n, "gf2")])
-        integer = _rank_array(tables[(n, "nat")])
+        gf2 = rank_array(tables[(n, "gf2")])
+        integer = rank_array(tables[(n, "nat")])
         assert (gf2 <= integer).all()
         assert (gf2 < integer).sum() == strictly_below
 
@@ -287,7 +280,7 @@ def test_rank_bounded_by_ones_count(tables):
     from conftest import popcount_array
 
     for (n, _), table in tables.items():
-        ranks = _rank_array(table)
+        ranks = rank_array(table)
         ones = popcount_array(Shape(n).code_count)
         assert (ranks <= ones).all()
 
