@@ -95,6 +95,13 @@ MUTANTS = [
            "rank_of_code shifts by a numpy code and overflows"),
     Mutant("ranks", "    n = index(n)\n", "",
            "lower_bounds computes a numpy n in 64-bit arithmetic and takes a float"),
+    Mutant("arrays", "subs = tuple(map(operator.index, subs))", "subs = tuple(subs)",
+           "bit shifts the code by a numpy subscript and overflows"),
+    Mutant("arrays", "v = operator.index(cells[subs])", "v = cells[subs]",
+           "flatten builds the code at a numpy entry's width"),
+    Mutant("arrays", "pairs = [tuple(map(operator.index, v)) for v in factors]",
+           "pairs = [tuple(v) for v in factors]",
+           "outer_product builds the code at a numpy factor's width"),
     # the slice engine: its moves, merges, inverses and small-in-large map
     Mutant("groups", "for m in (_delta_swap, _add)", "for m in (_add,)",
            "small orbits are not closed under the slice swap along direction 1"),

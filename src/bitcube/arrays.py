@@ -121,9 +121,9 @@ class ArrayCode(_Checked, NamedTuple("ArrayCode", [("code", int), ("shape", Shap
 
     def bit(self, subs: Sequence[int]) -> int:
         """Entry at a subscript tuple: n subscripts, each 1 or 2."""
+        subs = tuple(map(operator.index, subs))
         if len(subs) != self.shape.n or any(i not in (1, 2) for i in subs):
-            raise ValueError(
-                f"subscripts {tuple(subs)} do not index dimension {self.shape.n}")
+            raise ValueError(f"subscripts {subs} do not index dimension {self.shape.n}")
         q = 0
         for i in subs:
             q = (q << 1) | (i - 1)
@@ -167,7 +167,7 @@ def flatten(cells: Mapping[tuple[int, ...], int], shape: Shape) -> ArrayCode:
         )
     code = 0
     for subs in shape.subscripts():
-        v = cells[subs]
+        v = operator.index(cells[subs])
         if v not in (0, 1):
             raise ValueError(f"entry at {subs} must be 0 or 1, got {v!r}")
         code = (code << 1) | v
@@ -188,15 +188,13 @@ def outer_product(factors: Sequence[Vec2], shape: Shape) -> ArrayCode:
     """
     if len(factors) != _checked_shape(shape).n:
         raise ValueError(f"expected {shape.n} factors, got {len(factors)}")
-    for j, v in enumerate(factors, start=1):
-        if tuple(v) not in NONZERO_VECS:
+    pairs = [tuple(map(operator.index, v)) for v in factors]
+    for j, (v, pair) in enumerate(zip(factors, pairs), start=1):
+        if pair not in NONZERO_VECS:
             raise ValueError(f"factor {j} must be a nonzero 0-1 pair, got {v!r}")
-    code = 0
-    for subs in shape.subscripts():
-        bit = 1
-        for j, i in enumerate(subs):
-            bit &= factors[j][i - 1]
-        code = (code << 1) | bit
+    code = 1  # prepend the factors last to first, as rank_one_codes does
+    for k, (a, b) in enumerate(reversed(pairs)):
+        code = a * code << (1 << k) | b * code
     return ArrayCode(code, shape)
 
 

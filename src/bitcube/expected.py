@@ -6,11 +6,13 @@ partition tables and the orbit-count lower bounds.  Canonical forms and
 representatives are stored as 0/1 strings in linearization order.  The
 long tables are text, one row of whitespace-separated values per line.
 
-The dataset is seven module tables: `STRATUM_SIZES`, `LARGE_ORBITS`,
-`SMALL_ORBIT_COUNTS`, `ORBIT_SPLITS`, `RANK2_SMALL_SPLIT_3`, `PARTITIONS` and
-`LOWER_BOUNDS`.  `verify_all` reads them when it runs and compares one
-computed quantity against one value, so a single tampered value produces
-exactly one reported mismatch.  It recomputes every classification from
+The dataset is six module tables: `STRATUM_SIZES`, `LARGE_ORBITS`,
+`SMALL_ORBIT_COUNTS`, `RANK2_SMALL_SPLIT_3`, `PARTITIONS` and `LOWER_BOUNDS`.
+Each `LARGE_ORBITS` row holds the four facts the paper lists for a large
+orbit: rank, size, canonical form and splitting into small orbits.
+`verify_all` reads the tables when it runs and compares one computed
+quantity against one value, so a single tampered value produces exactly
+one reported mismatch.  It recomputes every classification from
 scratch, and a mismatch is a reported outcome, never an exception.  Of the
 commands, only `verify` imports this module.  It takes the partitions and
 the lower bounds from `ranks` and the rank-2 small split from `groups`, so
@@ -48,93 +50,52 @@ STRATUM_SIZES = {
     (4, "nat"): (1, 81, 1756, 12848, 28788, 17568, 3908, 560, 26),
 }
 
-# Large-group orbits as rank, size and canonical form, in classification
-# order: ascending rank, then ascending canonical code.
+# Large-group orbits in classification order (ascending rank, then ascending
+# canonical code) as rank, size, canonical form and splitting into small
+# orbits: count x size parts, "+"-joined in ascending size; 1xsize alone marks
+# a large orbit that already is a small orbit.
 LARGE_ORBITS = {3: _rows("""
-    0   1 00000000
-    1  27 00000001
-    2  54 00000110
-    2 108 00011000
-    3  54 00010110
-    3  12 01101011
-""", int, int, str), 4: _rows("""
-    0    1 0000000000000000
-    1   81 0000000000000001
-    2  324 0000000000000110
-    2 1296 0000000000011000
-    2  648 0000000110000000
-    3  648 0000000000010110
-    3  144 0000000001101011
-    3 3888 0000000100011000
-    3 2592 0000000100101100
-    3 2592 0000000101101010
-    3 3888 0000000110000010
-    3 7776 0000000110000110
-    3  216 0001100011101111
-    4  162 0000000100010110
-    4 2592 0000000101101000
-    4 5184 0000000110010110
-    4  108 0000011001100000
-    4  972 0000011001100001
-    4 1944 0000011001100010
-    4 1944 0000011001110010
-    4 7776 0000011001111000
-    4 1296 0000011010110000
-    4 7776 0000011010110001
-    4 3888 0001011010000011
-    4 3888 0001011010001011
-    5  648 0000011001101011
-    5  648 0001011001101000
-    5 1296 0001011001101001
-    5 1296 0001011010000001
-    6   24 0110101110111101
-""", int, int, str)}
+    0   1 00000000 1x1
+    1  27 00000001 1x27
+    2  54 00000110 3x18
+    2 108 00011000 1x108
+    3  54 00010110 1x54
+    3  12 01101011 1x12
+""", int, int, str, _parts), 4: _rows("""
+    0    1 0000000000000000 1x1
+    1   81 0000000000000001 1x81
+    2  324 0000000000000110 6x54
+    2 1296 0000000000011000 4x324
+    2  648 0000000110000000 1x648
+    3  648 0000000000010110 4x162
+    3  144 0000000001101011 4x36
+    3 3888 0000000100011000 6x648
+    3 2592 0000000100101100 4x648
+    3 2592 0000000101101010 4x648
+    3 3888 0000000110000010 3x1296
+    3 7776 0000000110000110 6x1296
+    3  216 0001100011101111 1x216
+    4  162 0000000100010110 1x162
+    4 2592 0000000101101000 4x648
+    4 5184 0000000110010110 4x1296
+    4  108 0000011001100000 3x36
+    4  972 0000011001100001 3x324
+    4 1944 0000011001100010 6x324
+    4 1944 0000011001110010 3x648
+    4 7776 0000011001111000 12x648
+    4 1296 0000011010110000 6x216
+    4 7776 0000011010110001 6x1296
+    4 3888 0001011010000011 3x1296
+    4 3888 0001011010001011 6x648
+    5  648 0000011001101011 6x108
+    5  648 0001011001101000 1x648
+    5 1296 0001011001101001 1x1296
+    5 1296 0001011010000001 1x1296
+    6   24 0110101110111101 1x24
+""", int, int, str, _parts)}
 
 # Small-group orbit counts.
 SMALL_ORBIT_COUNTS = {3: 8, 4: 112}
-
-# Splitting of each large orbit into small orbits: its index, then its parts
-# as count x size, joined by "+" in ascending size.  A part 1xsize marks a
-# large orbit that already is a small orbit.
-ORBIT_SPLITS = {3: _rows("""
-    1 1x1
-    2 1x27
-    3 3x18
-    4 1x108
-    5 1x54
-    6 1x12
-""", int, _parts), 4: _rows("""
-     1 1x1
-     2 1x81
-     3 6x54
-     4 4x324
-     5 1x648
-     6 4x162
-     7 4x36
-     8 6x648
-     9 4x648
-    10 4x648
-    11 3x1296
-    12 6x1296
-    13 1x216
-    14 1x162
-    15 4x648
-    16 4x1296
-    17 3x36
-    18 3x324
-    19 6x324
-    20 3x648
-    21 12x648
-    22 6x216
-    23 6x1296
-    24 3x1296
-    25 6x648
-    26 6x108
-    27 1x648
-    28 1x1296
-    29 1x1296
-    30 1x24
-""", int, _parts)}
 
 # The rank-2 large orbit of size 54 at n = 3 splits into three small orbits
 # of size 18; their canonical forms, ascending.
@@ -374,14 +335,14 @@ def _checks(n: int):
     if n == 3:
         yield ("boolean and integer strata identical n=3",
                tables[Semiring.BOOLEAN].levels == tables[Semiring.NONNEG].levels, True)
-    gf2 = tables[Semiring.GF2]
+    gf2, orbits = tables[Semiring.GF2], LARGE_ORBITS[n]
     yield (f"large-group orbits n={n}",
            tuple((r.rank, r.size, r.canonical.text()) for r in classify(gf2, "large")),
-           LARGE_ORBITS[n])
+           tuple(row[:3] for row in orbits))
     yield (f"small-group orbit count n={n}", len(classify(gf2, "small")),
            SMALL_ORBIT_COUNTS[n])
     yield (f"orbit splitting n={n}", tuple((s.index, s.parts) for s in orbit_split(gf2)),
-           ORBIT_SPLITS[n])
+           tuple((i, row[3]) for i, row in enumerate(orbits, 1)))
     if n == 3:
         yield ("rank-2 small-group split n=3",
                tuple((form.text(), size) for form, size in _rank2_small_split()),

@@ -6,10 +6,13 @@ module on its first import, so the listing is the set of modules a command
 loaded beyond the interpreter's own start-up.
 """
 
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from importlib import import_module
 from pathlib import Path
 
@@ -289,6 +292,44 @@ def test_removed_serialiser_and_dataset_names_are_gone(module, name):
 
 def test_public_api_has_27_names():
     assert len(bitcube.__all__) == 27
+
+
+def _functions(module):
+    """Every function and method that module defines, by qualified name."""
+    found = {}
+    for obj in vars(module).values():
+        members = [obj]
+        if isinstance(obj, type) and obj.__module__ == module.__name__:
+            members += vars(obj).values()
+        for member in members:
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            elif isinstance(member, property):
+                member = member.fget
+            if inspect.isfunction(member) and member.__module__ == module.__name__:
+                found[member.__qualname__] = member
+    return found
+
+
+def test_type_hints_resolve_except_for_names_bound_only_for_type_checkers():
+    # cli binds Namespace and argparse, and reporting the groups records,
+    # only under TYPE_CHECKING: a canonical command loads no argparse, and a
+    # table command loads no groups
+    modules = [bitcube] + [import_module(f"bitcube.{m.name}")
+                           for m in pkgutil.iter_modules(bitcube.__path__)]
+    unresolved = set()
+    for module in modules:
+        for qualname, function in _functions(module).items():
+            try:
+                typing.get_type_hints(function)
+            except NameError:
+                unresolved.add(f"{module.__name__}.{qualname}")
+    commands = ("enumerate", "rank", "classify", "split", "bounds", "export", "tables",
+                "verify")
+    assert unresolved == {
+        *(f"bitcube.cli.cmd_{command}" for command in commands), "bitcube.cli.build_parser",
+        "bitcube.reporting.orbit_records_table", "bitcube.reporting._split_parts",
+        "bitcube.reporting.split_rule"}
 
 
 def _oracle_loads(tmp_path, script):

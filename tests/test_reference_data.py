@@ -10,8 +10,8 @@ from collections import Counter
 
 import pytest
 
-from bitcube.expected import (LARGE_ORBITS, ORBIT_SPLITS, PARTITIONS, RANK2_SMALL_SPLIT_3,
-                               SMALL_ORBIT_COUNTS, STRATUM_SIZES)
+from bitcube.expected import (LARGE_ORBITS, PARTITIONS, RANK2_SMALL_SPLIT_3, SMALL_ORBIT_COUNTS,
+                               STRATUM_SIZES)
 
 
 def _per_rank(rows, rank, count):
@@ -30,7 +30,7 @@ def _is_form(text, n, ones=None):
 
 def test_every_form_and_representative_is_a_0_1_string_of_2_to_the_n_cells():
     for n, rows in LARGE_ORBITS.items():
-        assert all(_is_form(form, n) for _, _, form in rows), n
+        assert all(_is_form(form, n) for _, _, form, _ in rows), n
     assert all(_is_form(form, 3) for form, _ in RANK2_SMALL_SPLIT_3)
     for (n, tag), rows in PARTITIONS.items():
         for rank, ones, count, representative in rows:
@@ -40,18 +40,17 @@ def test_every_form_and_representative_is_a_0_1_string_of_2_to_the_n_cells():
 @pytest.mark.parametrize("n", (3, 4))
 def test_large_orbit_sizes_add_up_to_the_field_strata(n):
     rows = LARGE_ORBITS[n]
-    assert sum(size for _, size, _ in rows) == 2 ** 2**n
+    assert sum(size for _, size, _, _ in rows) == 2 ** 2**n
     assert _per_rank(rows, 0, 1) == STRATUM_SIZES[(n, "gf2")]
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_splits_add_up_to_their_orbits_and_to_the_small_orbit_count(n):
-    splits, orbits = ORBIT_SPLITS[n], LARGE_ORBITS[n]
-    assert [index for index, _ in splits] == list(range(1, len(orbits) + 1))
-    for (index, parts), (_, size, _) in zip(splits, orbits, strict=True):
+    orbits = LARGE_ORBITS[n]
+    for index, (_, size, _, parts) in enumerate(orbits, 1):
         assert sum(count * part for count, part in parts) == size, index
         assert [part for _, part in parts] == sorted(part for _, part in parts), index
-    assert (sum(count for _, parts in splits for count, _ in parts)
+    assert (sum(count for *_, parts in orbits for count, _ in parts)
             == SMALL_ORBIT_COUNTS[n])
 
 
@@ -59,9 +58,7 @@ def test_rank2_small_split_makes_up_its_large_orbit():
     # three small orbits of size 18 make up the rank-2 orbit of size 54 at n = 3
     forms = [form for form, _ in RANK2_SMALL_SPLIT_3]
     assert forms == sorted(set(forms))
-    (index,) = [i for i, (rank, size, _) in enumerate(LARGE_ORBITS[3], 1)
-                if (rank, size) == (2, 54)]
-    parts = dict(ORBIT_SPLITS[3])[index]
+    (parts,) = [parts for rank, size, _, parts in LARGE_ORBITS[3] if (rank, size) == (2, 54)]
     assert Counter(size for _, size in RANK2_SMALL_SPLIT_3) == {
         size: count for count, size in parts}
 

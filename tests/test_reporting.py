@@ -227,7 +227,17 @@ def test_tampered_dataset_yields_exactly_one_mismatch(monkeypatch):
 
 def test_tampered_orbit_row_reported(monkeypatch):
     rows = list(LARGE_ORBITS[4])
-    rows[7] = (rows[7][0], rows[7][1] + 1, rows[7][2])
+    rows[7] = (rows[7][0], rows[7][1] + 1, rows[7][2], rows[7][3])
     monkeypatch.setitem(LARGE_ORBITS, 4, tuple(rows))
     report = verify_all("4")
     assert [c.name for c in report.mismatches] == ["large-group orbits n=4"]
+
+
+def test_tampered_split_reported(monkeypatch):
+    rows = list(LARGE_ORBITS[4])
+    rank, size, form, ((count, part),) = rows[7]
+    rows[7] = (rank, size, form, ((count + 1, part),))
+    monkeypatch.setitem(LARGE_ORBITS, 4, tuple(rows))
+    report = verify_all("4")
+    assert [c.name for c in report.mismatches] == ["orbit splitting n=4"]
+    assert "first difference at row 7" in report.mismatches[0].detail

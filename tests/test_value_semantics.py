@@ -242,3 +242,28 @@ def test_rank_of_code_takes_any_integer_type(n, dtype, codes):
             assert table.rank_of_code(given) == table.rank_of_code(code)
     with pytest.raises(TypeError, match=f"^{re.escape(FLOAT)}$"):
         table.rank_of_code(5.0)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+@pytest.mark.parametrize("kind", (np.uint8, np.int8, np.int64, Index),
+                         ids=lambda kind: kind.__name__)
+def test_entries_and_subscripts_take_any_integer_type(kind, n):
+    # a numpy entry would otherwise build or shift the code at its own width
+    shape = Shape(n)
+    for cells in ({subs: 1 for subs in shape.subscripts()},
+                  {subs: sum(subs) % 3 & 1 for subs in shape.subscripts()}):
+        given = {subs: kind(v) for subs, v in cells.items()}
+        assert flatten(given, shape).code == flatten(cells, shape).code
+    for factors in ([(1, 1)] * n, [((0, 1), (1, 0), (1, 1))[j % 3] for j in range(n)]):
+        given = [(kind(a), kind(b)) for a, b in factors]
+        assert outer_product(given, shape).code == outer_product(factors, shape).code
+    for code in (shape.code_count - 1, rank_one_codes(shape)[n]):
+        a = ArrayCode(code, shape)
+        for subs in shape.subscripts():
+            assert a.bit(tuple(map(kind, subs))) == a.bit(subs)
+    floats = (lambda: flatten(dict.fromkeys(shape.subscripts(), 1.0), shape),
+              lambda: outer_product([(1.0, 1)] * n, shape),
+              lambda: ArrayCode(0, shape).bit((1.0,) * n))
+    for call in floats:
+        with pytest.raises(TypeError, match=f"^{re.escape(FLOAT)}$"):
+            call()
