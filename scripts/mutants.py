@@ -156,6 +156,15 @@ MUTANTS = [
            "a closed output pipe exits 1, the code of a verification mismatch"),
     Mutant("cli", "code = 74", "code = 1",
            "an unwritable stdout exits 1, the code of a verification mismatch"),
+    # the one way out of entrypoint
+    Mutant("cli", "gc.freeze()  #", "#",
+           "the shutdown collection walks the whole heap"),
+    Mutant("cli", "        try:\n            code = main()\n"
+                  "        except SystemExit as exc:"
+                  "  # from argparse: --help or a usage error\n"
+                  "            code = exc.code\n",
+           "        code = main()\n",
+           "--help into an unwritable stdout exits 120 or 0, not 74"),
     # the equivalent mutant
     Mutant("ranks", "return (-(-total // small_order), -(-total // large_order))",
            "return (total // small_order + 1, total // large_order + 1)",

@@ -6,7 +6,11 @@ Every command computes the stratifications it needs in process
 a pure function of its arguments and the embedded reference dataset.  Exit
 codes: 0 success, 1 verification mismatch, 2 usage error, 74 (EX_IOERR) when
 stdout is closed or a write to it fails, 141 (128 + SIGPIPE, as a shell
-reports it) when the reader closes the pipe, as `| head` does.
+reports it) when the reader closes the pipe, as `| head` does; `--help` and
+argparse's usage errors keep to them too.  `entrypoint` freezes the heap
+(`gc.freeze`) as it exits, so the shutdown collection skips it: a reference
+cycle alive then is not finalised, while atexit handlers and the stdio flush
+still run.  `main` leaves the collector alone.
 
 `enumerate`, `bounds`, `tables` and `split` in md, csv or json print table
 kinds through `reporting.emit_table`, so `enumerate --n 4 --semiring nat`
@@ -29,6 +33,7 @@ come from the package.  No command loads numpy.
 from __future__ import annotations
 
 import errno
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -184,7 +189,12 @@ _NAMES = tuple(name for name, *_ in _COMMANDS)
 def build_parser() -> argparse.ArgumentParser:
     """Argparse's parser of every subcommand, for each argv `_parse` declines."""
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse's own ignores a failed write
+            (sys.stdout if file is None else file).write(self.format_help())
+
+    parser = Parser(
         prog="bitcube",
         description="Rank and symmetry classification of 0-1 arrays of shape "
         "2x2x2 and 2x2x2x2",
@@ -236,7 +246,10 @@ def entrypoint() -> None:
     try:
         if sys.stdout is None:  # started with stdout closed, as `>&-` does
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # from argparse: --help or a usage error
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe, as `| head` does: exit as a shell reports
@@ -247,4 +260,5 @@ def entrypoint() -> None:
         print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         code = 74
+    gc.freeze()  # the shutdown collection would walk the whole heap, freeing nothing
     sys.exit(code)

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -233,6 +235,18 @@ def test_usage_error_exit_code_from_argparse(capsys):
     assert exc.value.code == 2
 
 
+def test_main_leaves_the_collector_alone(capsys):
+    # entrypoint alone freezes the heap, on its way out of the process
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli(capsys, "verify", "--scope", "3")[0] == 0
+    assert run_cli(capsys, "rank", "--n", "3", "--semiring", "gf2", "0110")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
 # The strict parser answers a canonical argv without argparse and declines
 # every other; argparse must give what it answers and reject nothing it takes.
 
@@ -385,6 +399,64 @@ def test_verify_with_stdout_closed_exits_74():
     proc = subprocess.run(["sh", "-c", 'exec "$0" -m bitcube verify >&-', sys.executable],
                           stderr=subprocess.PIPE, timeout=600)
     _assert_write_error(proc)
+
+
+# entrypoint() as `python -m bitcube` runs it, with an atexit handler that
+# reports last on stderr whether the heap was frozen: an os._exit would skip
+# the handler, and an exit without gc.freeze() would report False
+_FROZEN_AT_EXIT = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+from bitcube.cli import entrypoint
+entrypoint()
+"""
+
+
+def _run_entrypoint(args, unbuffered=False, **kwargs):
+    """The finished entrypoint() process, its stderr without the handler's line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *args], env=env,
+                          stderr=subprocess.PIPE, timeout=600, **kwargs)
+    assert proc.stderr.endswith(b"frozen: True\n"), proc.stderr
+    proc.stderr = proc.stderr.removesuffix(b"frozen: True\n")
+    return proc
+
+
+@pytest.mark.parametrize("args, code, out, err", [
+    (["verify"], 0, b"0 mismatches", ""),
+    (["--help"], 0, b"usage: bitcube [-h]", ""),
+    (["rank", "--help"], 0, b"usage: bitcube rank", ""),
+    ([], 2, b"", r"usage: bitcube .*\nbitcube: error: [^\n]*\n"),
+    (["rank", "--n", "3", "--semiring", "gf2", "0110"], 2, b"", r"error: [^\n]*\n"),
+], ids=["verify", "help", "rank-help", "no-argv", "malformed-array"])
+def test_entrypoint_freezes_the_heap_on_every_way_out(args, code, out, err):
+    proc = _run_entrypoint(args, stdout=subprocess.PIPE)
+    assert proc.returncode == code
+    assert out in proc.stdout and bool(out) == bool(proc.stdout)
+    assert re.fullmatch(err, proc.stderr.decode(), re.S)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["verify"], ["--help"]])
+def test_entrypoint_into_a_full_device_exits_74(args, unbuffered):
+    # argparse's own print_help would drop the failed write of --help
+    with open("/dev/full", "wb") as full:
+        _assert_write_error(_run_entrypoint(args, unbuffered, stdout=full))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["--help"], ["rank", "--help"], ["verify"]])
+def test_entrypoint_into_a_closed_pipe_exits_141_in_silence(args, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_entrypoint(args, unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_module_entry_point_tables_deterministic(tmp_path):
